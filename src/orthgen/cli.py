@@ -24,12 +24,13 @@ from .decompose import (
     local_decompose,
     tmt_decompose,
 )
-from .errors import IndexOutOfRange, NotMonomial, OrthgenError, UnknownItem
+from .errors import IndexOutOfRange, JSONFormatError, NotMonomial, OrthgenError, UnknownItem
 from .generators import eval_word, gen_F, gen_oe, word_to_json
 from .identity_suite import run_suite
 from .quadratic_space import (
     FormContext,
     Matrix,
+    embed_blocks,
     is_orthogonal,
     matrices_congruent,
     monomial_pattern,
@@ -60,7 +61,10 @@ def _read_payload(path):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise JSONFormatError("payload nests too deeply") from None
 
 
 def _odd_context(m: Matrix) -> FormContext:
@@ -73,29 +77,6 @@ def _any_context(m: Matrix) -> FormContext:
     if m.dim % 2 == 0:
         return FormContext(m.dim // 2, odd=False)
     return FormContext((m.dim - 1) // 2)
-
-
-def _embed_unitriangular(gamma: Matrix, ctx: FormContext) -> Matrix:
-    n = ctx.n
-    m = Matrix.identity(gamma.ring, ctx.dim)
-    inv = unitriangular_inverse(gamma.transpose())
-    for i in range(n):
-        for j in range(n):
-            m.rows[1 + i][1 + j] = gamma.rows[i][j]
-            m.rows[1 + n + i][1 + n + j] = inv.rows[i][j]
-    return m
-
-
-def _embed_alt(a: Matrix, upper: bool, ctx: FormContext) -> Matrix:
-    n = ctx.n
-    m = Matrix.identity(a.ring, ctx.dim)
-    for i in range(n):
-        for j in range(n):
-            if upper:
-                m.rows[1 + i][1 + n + j] = a.rows[i][j]
-            else:
-                m.rows[1 + n + i][1 + j] = a.rows[i][j]
-    return m
 
 
 # --- verb handlers ------------------------------------------------------------
@@ -153,13 +134,13 @@ def _cmd_decompose(args) -> int:
         if args.mode == "unipotent":
             ctx = FormContext(m.dim)
             word = factor_unipotent(m, upper, ctx)
-            expect = _embed_unitriangular(m, ctx)
+            expect = embed_blocks(ctx, m.ring, uu=m, vv=unitriangular_inverse(m.transpose()))
             out = word_to_json(word)
             redone = eval_word(word)
         elif args.mode == "alt":
             ctx = FormContext(m.dim)
             word = factor_alt(m, upper, ctx)
-            expect = _embed_alt(m, upper, ctx)
+            expect = embed_blocks(ctx, m.ring, uv=m) if upper else embed_blocks(ctx, m.ring, vu=m)
             out = word_to_json(word)
             redone = eval_word(word)
         elif args.mode == "to":
@@ -186,6 +167,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    if args.samples < 1:
+        return _complain(f"--samples must be at least 1, got {args.samples}", 2)
     if args.all:
         selection = "all"
     else:

@@ -64,6 +64,7 @@ from .quadratic_space import (
     matrix_residue,
     monomial_pattern,
     orthogonal_inverse,
+    split_blocks,
     unitriangular_inverse,
 )
 from .rings import (
@@ -243,18 +244,6 @@ def factor_alt(a: Matrix, upper: bool, ctx: FormContext) -> Word:
     return Word(ctx, R, letters)
 
 
-def _blocks(alpha: Matrix, ctx: FormContext):
-    n = ctx.n
-    R = alpha.ring
-
-    def block(rows, cols):
-        return Matrix(R, [[alpha.rows[r][c] for c in cols] for r in rows], copy=False)
-
-    us = [ctx.u(i) for i in range(1, n + 1)]
-    vs = [ctx.v(i) for i in range(1, n + 1)]
-    return block(us, us), block(us, vs), block(vs, us), block(vs, vs)
-
-
 def _is_zero_block(m: Matrix) -> bool:
     R = m.ring
     return all(R.is_zero(a) for row in m.rows for a in row)
@@ -288,7 +277,7 @@ def factor_to(alpha: Matrix, ctx: FormContext) -> Word:
     for t in range(1, ctx.dim):
         if not (R.is_zero(alpha.rows[0][t]) and R.is_zero(alpha.rows[t][0])):
             raise NotTOShape("center row and column must be trivial")
-    uu, uv, vu, vv = _blocks(alpha, ctx)
+    uu, uv, vu, vv = split_blocks(alpha, ctx)
     eye = Matrix.identity(R, ctx.n)
 
     if _is_zero_block(vu) and _is_unitriangular(uu, upper=True):
@@ -572,15 +561,6 @@ def _entry_bounds_ok(m: Matrix, low: bool) -> bool:
     return True
 
 
-def _theta_pair(ctx: FormContext, L: LaurentRing, m):
-    th = theta(ctx, L, m)
-    inv = Matrix.identity(L, ctx.dim)
-    count = ctx.n + 1 if m is None else m
-    for t in range(count):
-        inv.rows[t][t] = L.x_power(-1)
-    return th, inv
-
-
 def theta_conjugate(beta, direction: int, ctx: FormContext, m=None):
     """Conjugate by the theta scaling, reporting polynomiality.
 
@@ -615,7 +595,8 @@ def theta_conjugate(beta, direction: int, ctx: FormContext, m=None):
     L = lmat.ring
     if not is_orthogonal(lmat, ctx):
         raise NotOrthogonal("input does not preserve the form")
-    th, th_inv = _theta_pair(ctx, L, m)
+    th = theta(ctx, L, m)
+    th_inv = letter_matrix(ctx, L, GenLabel("THETA", param=m, exp=-1))
     conj = th @ lmat @ th_inv if direction == 1 else th_inv @ lmat @ th
 
     if spec is not None and direction == 1 and (m is None or m == ctx.n + 1):

@@ -19,14 +19,12 @@ from .errors import (
     BadIndex,
     BadSign,
     JSONFormatError,
-    NotAUnit,
     NotDeltaCommuting,
-    NotOrthogonal,
     OddLength,
     RingMismatch,
     UnsupportedRing,
 )
-from .quadratic_space import FormContext, Matrix, is_orthogonal, orthogonal_inverse
+from .quadratic_space import FormContext, Matrix, orthogonal_inverse
 from .rings import (
     LaurentRing,
     PolynomialRing,
@@ -46,7 +44,6 @@ __all__ = [
     "perm_matrix",
     "diag_orthogonal",
     "theta",
-    "embed_odd",
     "commutator",
     "letter_matrix",
     "eval_word",
@@ -54,7 +51,6 @@ __all__ = [
     "word_to_json",
     "word_from_json",
     "random_word",
-    "random_perm",
 ]
 
 F_FAMILIES = ("F1", "F2", "F3", "F4", "F5")
@@ -191,30 +187,6 @@ def theta(ctx: FormContext, ring: Ring, m=None) -> Matrix:
     for s in range(m):
         out.rows[s][s] = x.payload
     return out
-
-
-def embed_odd(alpha: Matrix) -> Matrix:
-    """The canonical embedding of a rank-n odd orthogonal matrix at rank n+1.
-
-    Old coordinates keep their meaning: the center stays at 0, u_i stays
-    at i, v_i moves from n+i to n+1+i; the new pair (u_{n+1}, v_{n+1})
-    is fixed pointwise.
-    """
-    if alpha.dim % 2 == 0 or alpha.dim < 3:
-        raise BadIndex(f"need an odd dimension 2n+1, got {alpha.dim}")
-    n = (alpha.dim - 1) // 2
-    ctx = FormContext(n)
-    if not is_orthogonal(alpha, ctx):
-        raise NotOrthogonal("embedding is only defined on orthogonal matrices")
-    R = alpha.ring
-    big = Matrix.identity(R, alpha.dim + 2)
-    shift = lambda idx: idx if idx <= n else idx + 1
-    for i in range(alpha.dim):
-        for j in range(alpha.dim):
-            big.rows[shift(i)][shift(j)] = alpha.rows[i][j]
-    big.rows[n + 1][n + 1] = R.one
-    big.rows[2 * n + 2][2 * n + 2] = R.one
-    return big
 
 
 def commutator(a: Matrix, b: Matrix, ctx: FormContext) -> Matrix:
@@ -409,24 +381,48 @@ def _label_to_json(letter: GenLabel):
     return obj
 
 
+def _require_keys(obj: dict, fam: str, *keys: str) -> None:
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise JSONFormatError(f"{fam} letter needs {' and '.join(map(repr, missing))}")
+
+
+def _index_from_json(fam: str, key: str, x, nullable: bool = False):
+    if x is None and nullable:
+        return None
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise JSONFormatError(f"{fam} letter field {key!r} must be an integer, got {x!r}")
+    return x
+
+
+def _list_from_json(fam: str, key: str, x) -> list:
+    if not isinstance(x, list):
+        raise JSONFormatError(f"{fam} letter field {key!r} must be a list, got {x!r}")
+    return x
+
+
 def _label_from_json(ring: Ring, obj) -> GenLabel:
     if not isinstance(obj, dict) or "fam" not in obj:
         raise JSONFormatError(f"letter must be an object with 'fam', got {obj!r}")
     fam = obj["fam"]
-    exp = obj.get("exp", 1)
+    exp = _index_from_json(fam, "exp", obj.get("exp", 1))
     if fam in F_FAMILIES or fam == "OE":
-        if "z" not in obj or "i" not in obj:
-            raise JSONFormatError(f"{fam} letter needs 'i' and 'z'")
-        z = scalar_from_json(ring, obj["z"])
-        return GenLabel(fam, obj["i"], obj.get("j"), z, exp)
+        _require_keys(obj, fam, "i", "z")
+        i = _index_from_json(fam, "i", obj["i"])
+        j = _index_from_json(fam, "j", obj.get("j"), nullable=fam != "OE")
+        return GenLabel(fam, i, j, scalar_from_json(ring, obj["z"]), exp)
     if fam == "PERM":
-        return GenLabel(fam, param=tuple(obj["perm"]), exp=exp)
+        _require_keys(obj, fam, "perm")
+        entries = _list_from_json(fam, "perm", obj["perm"])
+        return GenLabel(fam, param=tuple(_index_from_json(fam, "perm", s) for s in entries), exp=exp)
     if fam == "DIAG":
+        _require_keys(obj, fam, "d0", "d")
         d0 = scalar_from_json(ring, obj["d0"])
-        d = tuple(scalar_from_json(ring, x) for x in obj["d"])
+        d = tuple(scalar_from_json(ring, x) for x in _list_from_json(fam, "d", obj["d"]))
         return GenLabel(fam, param=(d0, d), exp=exp)
     if fam == "THETA":
-        return GenLabel(fam, param=obj["m"], exp=exp)
+        _require_keys(obj, fam, "m")
+        return GenLabel(fam, param=_index_from_json(fam, "m", obj["m"], nullable=True), exp=exp)
     raise JSONFormatError(f"unknown letter family {fam!r}")
 
 
@@ -446,26 +442,11 @@ def word_from_json(obj) -> Word:
         raise JSONFormatError("word JSON needs 'n', 'ring' and 'letters'")
     ring = ring_from_string(obj["ring"])
     ctx = FormContext(obj["n"], odd=not obj.get("even", False))
-    letters = [_label_from_json(ring, o) for o in obj.get("letters", ())]
+    letters = obj.get("letters", [])
+    if not isinstance(letters, list):
+        raise JSONFormatError(f"word 'letters' must be a list, got {letters!r}")
+    letters = [_label_from_json(ring, o) for o in letters]
     return Word(ctx, ring, letters)
-
-
-def random_perm(ctx: FormContext, rng) -> tuple:
-    """A random delta-commuting permutation as a 1-based image tuple."""
-    n = ctx.n
-    block = list(range(1, n + 1))
-    rng.shuffle(block)
-    swap = [rng.random() < 0.5 for _ in range(n)]
-    out = [0] * ctx.dim
-    off = 1 if ctx.odd else 0
-    if ctx.odd:
-        out[0] = 1
-    for i in range(1, n + 1):
-        t = block[i - 1]
-        ui, vi = (t + off, n + t + off) if not swap[i - 1] else (n + t + off, t + off)
-        out[i - 1 + off] = ui
-        out[n + i - 1 + off] = vi
-    return tuple(out)
 
 
 def _random_f_letter(ctx: FormContext, ring: Ring, rng, families) -> GenLabel:

@@ -18,7 +18,7 @@ import hashlib
 import random
 import time
 
-from .decompose import factor_alt, theta_conjugate
+from .decompose import _constant_matrix_over, factor_alt, theta_conjugate
 from .errors import DecompositionError, OrthgenError, UnknownItem
 from .generators import (
     GenLabel,
@@ -39,9 +39,11 @@ from .quadratic_space import (
     Matrix,
     SplitVector,
     Vector,
+    embed_blocks,
     is_orthogonal,
     one_perp,
     orthogonal_inverse,
+    split_blocks,
     unitriangular_inverse,
 )
 from .rings import (
@@ -185,18 +187,6 @@ def _unipotent(ring, n, upper, rng):
     return m
 
 
-def _alt_block(ring, a, upper, ctx):
-    n = ctx.n
-    m = Matrix.identity(ring, ctx.dim)
-    for i in range(n):
-        for j in range(n):
-            if upper:
-                m.rows[1 + i][1 + n + j] = a.rows[i][j]
-            else:
-                m.rows[1 + n + i][1 + j] = a.rows[i][j]
-    return m
-
-
 def _nil_square(ring, rng):
     """A payload whose square is zero: p^ceil(k/2) multiples, or plain zero."""
     if isinstance(ring, ModularRing):
@@ -294,11 +284,7 @@ def _item_t41(rng, ring, n):
     up = _unipotent(ring, n, True, rng)
     alpha = lo @ up
     alpha_t_inv = unitriangular_inverse(lo.transpose()) @ unitriangular_inverse(up.transpose())
-    m = Matrix.identity(ring, ctx.dim)
-    for i in range(n):
-        for j in range(n):
-            m.rows[1 + i][1 + j] = alpha.rows[i][j]
-            m.rows[1 + n + i][1 + n + j] = alpha_t_inv.rows[i][j]
+    m = embed_blocks(ctx, ring, uu=alpha, vv=alpha_t_inv)
     if is_orthogonal(m, ctx):
         return None
     return _fail(ring, n, alpha=alpha.to_json())
@@ -308,8 +294,8 @@ def _item_t42(rng, ring, n):
     ctx = FormContext(n)
     a = _alternating(ring, n, rng)
     for upper in (True, False):
-        word = factor_alt(a, upper, ctx)
-        if eval_word(word) != _alt_block(ring, a, upper, ctx):
+        block = embed_blocks(ctx, ring, uv=a) if upper else embed_blocks(ctx, ring, vu=a)
+        if eval_word(factor_alt(a, upper, ctx)) != block:
             return _fail(ring, n, upper=upper, block=a.to_json())
     return None
 
@@ -446,10 +432,6 @@ def _item_l51(rng, P, n):
     return _fail(P, n, spec=spec.to_json(), reason="negative powers")
 
 
-def _poly_matrix(m, P):
-    return Matrix(P, [[P.make([a]) for a in row] for row in m.rows], copy=False)
-
-
 def _item_l54(rng, P, n):
     base = P.base
     ctx = FormContext(n)
@@ -463,18 +445,13 @@ def _item_l54(rng, P, n):
         beta0 = eval_word(random_word(ctx, base, rng, 6, families=families)) @ core
         a11 = beta0.rows[0][0]
         a13 = [beta0.rows[0][n + 1 + j] for j in range(n)]
-        a23 = Matrix(base, [[beta0.rows[1 + i][n + 1 + j] for j in range(n)] for i in range(n)])
-        a33 = Matrix(base, [[beta0.rows[n + 1 + i][n + 1 + j] for j in range(n)] for i in range(n)])
+        _, a23, _, a33 = split_blocks(beta0, ctx)
         corr = a23.transpose() @ a33
-        t = Matrix.identity(P, ctx.dim)
+        t = embed_blocks(ctx, P, uv=_constant_matrix_over(corr, P).scale(one - X))
         for j in range(n):
             scale = Scalar(P, P.make([base.mul(a11, a13[j])]))
             t.rows[0][n + 1 + j] = ((X - one) * scale).payload
-        for i in range(n):
-            for j in range(n):
-                scale = Scalar(P, P.make([corr.rows[i][j]]))
-                t.rows[1 + i][n + 1 + j] = ((one - X) * scale).payload
-        lifted = _poly_matrix(beta0, P)
+        lifted = _constant_matrix_over(beta0, P)
         if th @ lifted != lifted @ t @ th:
             return _fail(P, n, beta0=beta0.to_json(), families=list(families))
         if "F1" not in families and not is_alternating(corr):

@@ -14,14 +14,12 @@ from __future__ import annotations
 from .errors import (
     IndexOutOfRange,
     JSONFormatError,
-    NotAUnit,
     NotMonomial,
-    NotTOShape,
     NotUnipotent,
     RingMismatch,
     UnsupportedRing,
 )
-from .rings import IdealDescriptor, Ring, Scalar, residue_ring, ring_from_string
+from .rings import IdealDescriptor, Ring, Scalar, residue_ring, residue_scalar, ring_from_string
 
 __all__ = [
     "Matrix",
@@ -32,13 +30,12 @@ __all__ = [
     "orthogonal_inverse",
     "monomial_pattern",
     "unitriangular_inverse",
-    "matrix_inverse_local",
     "matrices_congruent",
     "matrix_in_ideal",
     "matrix_residue",
-    "matrix_lift",
     "one_perp",
-    "even_part",
+    "embed_blocks",
+    "split_blocks",
 ]
 
 
@@ -168,13 +165,6 @@ class SplitVector:
             return ring.from_int(x)
 
         return cls(ring, pay(v0), [pay(x) for x in vp], [pay(x) for x in vdp], copy=False)
-
-    @classmethod
-    def from_vector(cls, ctx: "FormContext", v: Vector) -> "SplitVector":
-        if not ctx.odd or len(v) != ctx.dim:
-            raise IndexOutOfRange("split blocks need an odd context of matching size")
-        n = ctx.n
-        return cls(v.ring, v.comps[0], v.comps[1 : n + 1], v.comps[n + 1 :])
 
     def to_vector(self, ctx: "FormContext") -> Vector:
         if not ctx.odd or ctx.n != self.n:
@@ -357,12 +347,6 @@ class Matrix:
                 elif not R.is_zero(a):
                     return False
         return True
-
-    def row(self, i: int) -> Vector:
-        return Vector(self.ring, self.rows[i])
-
-    def col(self, j: int) -> Vector:
-        return Vector(self.ring, [r[j] for r in self.rows], copy=False)
 
     def apply(self, v: Vector) -> Vector:
         R = self.ring
@@ -621,41 +605,6 @@ def unitriangular_inverse(M: Matrix) -> Matrix:
     return acc
 
 
-def matrix_inverse_local(M: Matrix) -> Matrix:
-    """Gauss-Jordan inverse using unit pivots only.
-
-    Over a local ring this succeeds exactly when M is invertible; over
-    other rings it may raise NotAUnit even for invertible input.
-    """
-    R = M.ring
-    d = M.dim
-    a = [row[:] for row in M.rows]
-    b = [row[:] for row in Matrix.identity(R, d).rows]
-    for col in range(d):
-        piv = None
-        for r in range(col, d):
-            if R.is_unit(a[r][col]):
-                piv = r
-                break
-        if piv is None:
-            raise NotAUnit(f"no unit pivot available in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = R.inv(a[col][col])
-        a[col] = [R.mul(inv, x) for x in a[col]]
-        b[col] = [R.mul(inv, x) for x in b[col]]
-        for r in range(d):
-            if r == col:
-                continue
-            f = a[r][col]
-            if R.is_zero(f):
-                continue
-            nf = R.neg(f)
-            a[r] = [R.add(x, R.mul(nf, y)) for x, y in zip(a[r], a[col])]
-            b[r] = [R.add(x, R.mul(nf, y)) for x, y in zip(b[r], b[col])]
-    return Matrix(R, b, copy=False)
-
-
 def matrix_in_ideal(M: Matrix, ideal: IdealDescriptor) -> bool:
     R = M.ring
     return all(ideal.member(R, a) for row in M.rows for a in row)
@@ -674,28 +623,8 @@ def matrix_residue(M: Matrix) -> Matrix:
     """Entrywise reduction of a matrix over a local scalar ring mod its maximal ideal."""
     R = M.ring
     S = residue_ring(R)
-    if S == R:
-        return M.copy()
-    if R.kind == "Zpk":
-        p = R.p
-        rows = [[a % p for a in row] for row in M.rows]
-    else:
-        rows = [[a[0] for a in row] for row in M.rows]
+    rows = [[residue_scalar(Scalar(R, a)).payload for a in row] for row in M.rows]
     return Matrix(S, rows, copy=False)
-
-
-def matrix_lift(ring: Ring, M: Matrix) -> Matrix:
-    """Entrywise canonical lift from the residue field back to ring."""
-    if M.ring != residue_ring(ring):
-        raise RingMismatch(f"{M.ring.descriptor} is not the residue field of {ring.descriptor}")
-    if ring.kind in ("Q", "Fp"):
-        return M.copy()
-    if ring.kind == "Zpk":
-        rows = [row[:] for row in M.rows]
-    else:
-        pad = (ring.base.zero,) * (ring.e - 1)
-        rows = [[(a,) + pad for a in row] for row in M.rows]
-    return Matrix(ring, rows, copy=False)
 
 
 def one_perp(M: Matrix) -> Matrix:
@@ -711,15 +640,32 @@ def one_perp(M: Matrix) -> Matrix:
     return Matrix(R, rows, copy=False)
 
 
-def even_part(M: Matrix) -> Matrix:
-    """Inverse of one_perp; requires a trivial center row and column."""
-    R = M.ring
-    d = M.dim
-    if d % 2 == 0 or d < 3:
-        raise IndexOutOfRange(f"odd-space matrix must have odd dimension >= 3, got {d}")
-    if not R.eq(M.rows[0][0], R.one):
-        raise NotTOShape("center entry is not 1")
-    for j in range(1, d):
-        if not (R.is_zero(M.rows[0][j]) and R.is_zero(M.rows[j][0])):
-            raise NotTOShape("center row or column is not trivial")
-    return Matrix(R, [row[1:] for row in M.rows[1:]])
+def embed_blocks(ctx: FormContext, ring: Ring, uu=None, uv=None, vu=None, vv=None) -> Matrix:
+    """The identity with n x n blocks placed on the u/v coordinates.
+
+    uu, uv, vu, vv land on rows u and columns u, rows u and columns v,
+    and so on; a block left as None keeps the identity there, and the
+    center row and column are untouched.
+    """
+    m = Matrix.identity(ring, ctx.dim)
+    n, u, v = ctx.n, ctx.u(1), ctx.v(1)
+    for block, r0, c0 in ((uu, u, u), (uv, u, v), (vu, v, u), (vv, v, v)):
+        if block is None:
+            continue
+        if block.dim != n:
+            raise IndexOutOfRange(f"block must have size {n}, got {block.dim}")
+        for i in range(n):
+            m.rows[r0 + i][c0 : c0 + n] = block.rows[i]
+    return m
+
+
+def split_blocks(M: Matrix, ctx: FormContext):
+    """The (uu, uv, vu, vv) blocks of M, the reading inverse of embed_blocks."""
+    n, u, v = ctx.n, ctx.u(1), ctx.v(1)
+    if M.dim != ctx.dim:
+        raise IndexOutOfRange(f"matrix dim {M.dim} does not match form dim {ctx.dim}")
+
+    def block(r0, c0):
+        return Matrix(M.ring, [M.rows[r0 + i][c0 : c0 + n] for i in range(n)], copy=False)
+
+    return block(u, u), block(u, v), block(v, u), block(v, v)

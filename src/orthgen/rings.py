@@ -38,7 +38,6 @@ __all__ = [
     "residue_ring",
     "residue_scalar",
     "lift_scalar",
-    "ideal_member",
     "canonical_json",
 ]
 
@@ -47,16 +46,34 @@ __all__ = [
 _SCALAR_KINDS = ("Q", "Fp", "Zpk", "trunc")
 
 
+# Miller-Rabin on the first 13 prime bases decides primality exactly
+# below _MR_LIMIT (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    if p >= _MR_LIMIT:
+        raise UnsupportedRing(f"cannot decide primality of {p}: limit is {_MR_LIMIT}")
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -251,12 +268,10 @@ class ModularRing(_ModularBase):
     kind = "Zpk"
 
     def __init__(self, p: int, k: int) -> None:
-        if not _is_prime(p):
-            raise UnsupportedRing(f"{p} is not prime")
-        if p == 2:
-            raise UnsupportedRing("2 must be a unit, so p = 2 is not supported")
+        residue = PrimeField(p)  # rejects p = 2 and composite p
         if k < 2:
             raise UnsupportedRing("exponent must be >= 2, use Fp for k = 1")
+        self.residue = residue
         self.p = p
         self.k = k
         self.modulus = p**k
@@ -281,6 +296,18 @@ def _poly_str(coeffs, var: str, base: Ring, offset: int = 0) -> str:
         xs = var if e == 1 else f"{var}^{e}"
         terms.append(xs if cs == "1" else f"{cs}*{xs}")
     return " + ".join(terms) if terms else "0"
+
+
+def _convolve(B: Ring, a, b, size: int) -> list:
+    """Coefficients of a*b over the base B, cut to the first size terms."""
+    out = [B.zero] * size
+    for i, ai in enumerate(a):
+        if B.is_zero(ai):
+            continue
+        for j, bj in enumerate(b[: size - i]):
+            if not B.is_zero(bj):
+                out[i + j] = B.add(out[i + j], B.mul(ai, bj))
+    return out
 
 
 class TruncatedRing(Ring):
@@ -312,16 +339,7 @@ class TruncatedRing(Ring):
         return tuple(B.neg(x) for x in a)
 
     def mul(self, a, b):
-        B = self.base
-        out = [B.zero] * self.e
-        for i, ai in enumerate(a):
-            if B.is_zero(ai):
-                continue
-            for j in range(self.e - i):
-                bj = b[j]
-                if not B.is_zero(bj):
-                    out[i + j] = B.add(out[i + j], B.mul(ai, bj))
-        return tuple(out)
+        return tuple(_convolve(self.base, a, b, self.e))
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -413,15 +431,7 @@ class PolynomialRing(Ring):
     def mul(self, a, b):
         if not a or not b:
             return ()
-        B = self.base
-        out = [B.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if B.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                if not B.is_zero(bj):
-                    out[i + j] = B.add(out[i + j], B.mul(ai, bj))
-        return self.make(out)
+        return self.make(_convolve(self.base, a, b, len(a) + len(b) - 1))
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -438,9 +448,6 @@ class PolynomialRing(Ring):
         if not self.is_unit(a):
             raise NotAUnit(f"{self.show(a)} is not a unit constant in {self.descriptor}")
         return (self.base.inv(a[0]),)
-
-    def degree(self, a) -> int:
-        return len(a) - 1
 
     def x_power(self, k: int):
         if k < 0:
@@ -530,15 +537,7 @@ class LaurentRing(Ring):
         ob, cb = b
         if not ca or not cb:
             return (0, ())
-        B = self.base
-        out = [B.zero] * (len(ca) + len(cb) - 1)
-        for i, ai in enumerate(ca):
-            if B.is_zero(ai):
-                continue
-            for j, bj in enumerate(cb):
-                if not B.is_zero(bj):
-                    out[i + j] = B.add(out[i + j], B.mul(ai, bj))
-        return self.make(oa + ob, out)
+        return self.make(oa + ob, _convolve(self.base, ca, cb, len(ca) + len(cb) - 1))
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -712,10 +711,6 @@ class IdealDescriptor:
             raise UnsupportedRing(f"unknown ideal kind {kind!r}")
         self.kind = kind
 
-    @classmethod
-    def parse(cls, s: str) -> "IdealDescriptor":
-        return cls(s.strip())
-
     def __repr__(self) -> str:
         return self.kind
 
@@ -745,25 +740,11 @@ class IdealDescriptor:
         if self.kind == "zero":
             return ring.is_zero(payload)
         if self.kind == "max":
-            return _max_member(ring, payload)
+            return residue_scalar(Scalar(ring, payload)).is_zero()
         if self.kind == "xmult":
             return payload == () or ring.base.is_zero(payload[0])
         coeffs = payload if ring.kind == "poly" else payload[1]
-        return all(_max_member(ring.base, c) for c in coeffs)
-
-
-def _max_member(ring: Ring, payload) -> bool:
-    if ring.kind in ("Q", "Fp"):
-        return ring.is_zero(payload)
-    if ring.kind == "Zpk":
-        return payload % ring.p == 0
-    if ring.kind == "trunc":
-        return ring.base.is_zero(payload[0])
-    raise UnsupportedRing(f"no maximal ideal for {ring.descriptor}")
-
-
-def ideal_member(ideal: IdealDescriptor, x: Scalar) -> bool:
-    return ideal.member(x.ring, x.payload)
+        return all(residue_scalar(Scalar(ring.base, c)).is_zero() for c in coeffs)
 
 
 def ring_from_string(s: str) -> Ring:
@@ -773,6 +754,8 @@ def ring_from_string(s: str) -> Ring:
     | laurent:<base>.  F<p> is accepted as shorthand for Fp:<p>, and
     Zpk:<p>:1 collapses to the prime field.
     """
+    if not isinstance(s, str):
+        raise UnsupportedRing(f"ring descriptor must be a string, got {s!r}")
     s = s.strip()
     if s == "Q":
         return RationalField()
@@ -855,16 +838,17 @@ def residue_ring(ring: Ring) -> Ring:
     if ring.kind in ("Q", "Fp"):
         return ring
     if ring.kind == "Zpk":
-        return PrimeField(ring.p)
+        return ring.residue
     if ring.kind == "trunc":
         return ring.base
     raise UnsupportedRing(f"{ring.descriptor} is not a local scalar ring")
 
 
 def residue_scalar(x: Scalar) -> Scalar:
+    """Image of a local-ring scalar in the residue field."""
     R = x.ring
     S = residue_ring(R)
-    if R.kind in ("Q", "Fp"):
+    if S == R:
         return x
     if R.kind == "Zpk":
         return Scalar(S, x.payload % R.p)

@@ -29,8 +29,16 @@ from .errors import (
     NotOrthogonalPair,
     RingMismatch,
 )
-from .quadratic_space import FormContext, Matrix, SplitVector, Vector, is_orthogonal
-from .rings import Ring, Scalar, ring_from_string
+from .quadratic_space import (
+    FormContext,
+    Matrix,
+    SplitVector,
+    Vector,
+    embed_blocks,
+    is_orthogonal,
+    orthogonal_inverse,
+)
+from .rings import Scalar, ring_from_string
 
 __all__ = [
     "TransvectionSpec",
@@ -39,7 +47,6 @@ __all__ = [
     "transvection_matrix",
     "transvection_laws",
     "solve_alternating",
-    "normalize_w_pairs",
     "transvection_split3",
     "split_w_pair",
     "is_alternating",
@@ -233,11 +240,7 @@ def transvection_laws(ctx, u, v, w, a, b, alpha=None) -> dict:
     except NotAUnit:
         report["v"] = "skipped (similitude multiplier is not a unit)"
         return report
-    gram_inv = ctx.gram(R)
-    if ctx.odd:
-        gram_inv.set(0, 0, Scalar(R, R.half))
-    alpha_inv = gram_inv @ alpha.transpose() @ gram
-    alpha_inv = alpha_inv.scale(mult_inv)
+    alpha_inv = orthogonal_inverse(alpha, ctx).scale(mult_inv)
     report["v"] = _law(
         base,
         lambda: alpha @ transvection_matrix(ctx, u, v, b) @ alpha_inv
@@ -285,27 +288,6 @@ def solve_alternating(v: Vector, w: Vector, witness: OrderIdealWitness) -> Matri
     return Matrix(R, rows, copy=False)
 
 
-def normalize_w_pairs(ctx: FormContext, w: Vector) -> tuple:
-    """A delta-commuting permutation image moving w's pair support upward.
-
-    Greedy per pair: whenever the v_i slot is nonzero, the u_i slot must
-    be free to swap into, else no permutation can empty the lower block.
-    """
-    if not ctx.odd:
-        raise IndexOutOfRange("pair normalization lives in the odd space")
-    if len(w) != ctx.dim:
-        raise IndexOutOfRange(f"vector must have length {ctx.dim}")
-    R = w.ring
-    image = list(range(1, ctx.dim + 1))
-    for i in range(1, ctx.n + 1):
-        ui, vi = ctx.u(i), ctx.v(i)
-        if not R.is_zero(w.comps[vi]):
-            if not R.is_zero(w.comps[ui]):
-                raise HypothesisViolated(f"pair {i} of w has both coordinates nonzero")
-            image[ui], image[vi] = image[vi], image[ui]
-    return tuple(image)
-
-
 def _split3_blocks(ctx: FormContext, spec: TransvectionSpec):
     R = spec.x.ring
     n = ctx.n
@@ -345,16 +327,12 @@ def transvection_split3(spec: TransvectionSpec, ctx: FormContext):
     n = ctx.n
     alpha, alpha_inv_t, mid, beta1, beta2 = _split3_blocks(ctx, spec)
 
-    m1 = Matrix.identity(R, ctx.dim)
-    m2 = Matrix.identity(R, ctx.dim)
+    m1 = embed_blocks(ctx, R, uu=alpha, vv=alpha_inv_t)
+    m2 = embed_blocks(ctx, R, uv=mid)
     m3 = Matrix.identity(R, ctx.dim)
     two = R.from_int(2)
     for i in range(n):
         ui, vi = i + 1, n + i + 1
-        for j in range(n):
-            m1.rows[ui][j + 1] = alpha.rows[i][j]
-            m1.rows[vi][n + j + 1] = alpha_inv_t.rows[i][j]
-            m2.rows[ui][n + j + 1] = mid.rows[i][j]
         m3.rows[0][ui] = beta1.comps[i]
         m3.rows[0][vi] = beta2.comps[i]
         m3.rows[ui][0] = R.neg(R.mul(two, beta2.comps[i]))

@@ -1,0 +1,19 @@
+"""Random inputs shared by several test modules."""
+
+
+def random_perm(ctx, rng) -> tuple:
+    """A random delta-commuting permutation as a 1-based image tuple."""
+    n = ctx.n
+    block = list(range(1, n + 1))
+    rng.shuffle(block)
+    swap = [rng.random() < 0.5 for _ in range(n)]
+    out = [0] * ctx.dim
+    off = 1 if ctx.odd else 0
+    if ctx.odd:
+        out[0] = 1
+    for i in range(1, n + 1):
+        t = block[i - 1]
+        ui, vi = (t + off, n + t + off) if not swap[i - 1] else (n + t + off, t + off)
+        out[i - 1 + off] = ui
+        out[n + i - 1 + off] = vi
+    return tuple(out)

@@ -29,7 +29,6 @@ from orthgen.generators import (
     gen_F,
     gen_oe,
     perm_matrix,
-    random_perm,
     random_word,
 )
 from orthgen.identity_suite import run_suite
@@ -56,6 +55,8 @@ from orthgen.rings import (
     variable,
 )
 from orthgen.transvections import TransvectionSpec, transvection
+
+from sampling import random_perm
 
 QQ = RationalField()
 F3 = PrimeField(3)

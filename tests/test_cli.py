@@ -100,6 +100,17 @@ def _horrocks_input():
     return HorrocksInstance(alpha, beta, witness)
 
 
+def _horrocks_with_letter(**fields):
+    obj = json.loads(canonical_json(_horrocks_input().to_json()))
+    letter = obj["witness"]["letters"][0]
+    for key, value in fields.items():
+        if value is None:
+            del letter[key]
+        else:
+            letter[key] = value
+    return canonical_json(obj)
+
+
 def _orth_bad():
     m = Matrix.identity(QQ, 7)
     m.rows[0][1] = QQ.one
@@ -126,6 +137,9 @@ _INPUTS = {
     "alt_lower.in": lambda: canonical_json(
         _mat(F7, [[0, -4, -1], [4, 0, -6], [1, 6, 0]]).to_json()),
     "horrocks_accept.in": lambda: canonical_json(_horrocks_input().to_json()),
+    "horrocks_perm_no_perm.in": lambda: _horrocks_with_letter(
+        fam="PERM", i=None, z=None),
+    "horrocks_index_str.in": lambda: _horrocks_with_letter(i="1"),
 }
 
 CASES = [
@@ -179,6 +193,16 @@ CASES = [
      ["check-horrocks"], "horrocks_accept.in", 0),
 ]
 
+# Malformed input: exit 2 with nothing on stdout.
+REJECT_CASES = [
+    ("check_horrocks_perm_no_perm",
+     ["check-horrocks"], "horrocks_perm_no_perm.in", 2),
+    ("check_horrocks_index_str",
+     ["check-horrocks"], "horrocks_index_str.in", 2),
+    ("identities_zero_samples",
+     ["identities", "--all", "--samples", "0"], None, 2),
+]
+
 
 def _regen_requested():
     return bool(os.environ.get("ORTHGEN_REGEN"))
@@ -193,8 +217,8 @@ def _stdin_for(name):
     return path.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name,argv,stdin_name,expect_code", CASES,
-                         ids=[case[0] for case in CASES])
+@pytest.mark.parametrize("name,argv,stdin_name,expect_code", CASES + REJECT_CASES,
+                         ids=[case[0] for case in CASES + REJECT_CASES])
 def test_golden(name, argv, stdin_name, expect_code):
     code, out = run_cli(argv, _stdin_for(stdin_name))
     path = GOLDEN / f"{name}.out"
@@ -268,6 +292,20 @@ def test_verify_congruent_fails_with_exit_one():
 def test_identities_unknown_item_exits_two():
     assert run_cli(["identities", "--items", "NOPE"])[0] == 2
     assert run_cli(["identities", "--items", ""])[0] == 2
+
+
+def test_identities_rejects_vacuous_sample_counts(capsys):
+    for samples in ("0", "-1"):
+        code, out = run_cli(["identities", "--all", "--samples", samples])
+        assert code == 2 and out == ""
+    assert "--samples must be at least 1" in capsys.readouterr().err
+
+
+def test_deeply_nested_payload_exits_two():
+    deep = "[" * 100000 + "]" * 100000
+    for argv in (["check-horrocks"], ["decompose", "--mode", "tmt"],
+                 ["verify", "--what", "monomial"]):
+        assert run_cli(argv, deep) == (2, "")
 
 
 def test_identities_seed_resolution(monkeypatch):

@@ -41,7 +41,6 @@ from orthgen.generators import (
     eval_word,
     gen_F,
     perm_matrix,
-    random_perm,
     random_word,
     theta,
 )
@@ -71,6 +70,8 @@ from orthgen.rings import (
     variable,
 )
 from orthgen.transvections import TransvectionSpec
+
+from sampling import random_perm
 
 QQ = RationalField()
 F3 = PrimeField(3)

@@ -23,13 +23,11 @@ from orthgen.generators import (
     Word,
     commutator,
     diag_orthogonal,
-    embed_odd,
     eval_word,
     gen_F,
     gen_oe,
     letter_matrix,
     perm_matrix,
-    random_perm,
     random_word,
     theta,
     word_from_json,
@@ -38,6 +36,8 @@ from orthgen.generators import (
 )
 from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal, one_perp, orthogonal_inverse
 from orthgen.rings import PrimeField, RationalField, Scalar, canonical_json, ring_from_string
+
+from sampling import random_perm
 
 QQ = RationalField()
 F5 = PrimeField(5)
@@ -317,33 +317,6 @@ def test_theta_shape_and_inverse():
         theta(CTX3, LQ, 8)
 
 
-def test_embed_odd_identity_and_letters():
-    assert embed_odd(Matrix.identity(QQ, 7)) == Matrix.identity(QQ, 9)
-    z = q(Fraction(5, 3))
-    assert embed_odd(gen_F(CTX3, "F1", 1, None, z)) == gen_F(CTX4, "F1", 1, None, z)
-    assert embed_odd(gen_F(CTX3, "F2", 3, None, z)) == gen_F(CTX4, "F2", 3, None, z)
-    assert embed_odd(gen_F(CTX3, "F4", 1, 3, z)) == gen_F(CTX4, "F4", 1, 3, z)
-    assert embed_odd(gen_F(CTX3, "F5", 2, 1, z)) == gen_F(CTX4, "F5", 2, 1, z)
-
-
-def test_embed_odd_is_multiplicative():
-    rng = random.Random(41)
-    for _ in range(5):
-        a = eval_word(random_word(CTX3, F5, rng, 6))
-        b = eval_word(random_word(CTX3, F5, rng, 6))
-        assert embed_odd(a @ b) == embed_odd(a) @ embed_odd(b)
-        assert is_orthogonal(embed_odd(a), CTX4)
-
-
-def test_embed_odd_rejects_non_orthogonal():
-    bad = Matrix.identity(QQ, 7)
-    bad.set(0, 1, q(1))
-    with pytest.raises(NotOrthogonal):
-        embed_odd(bad)
-    with pytest.raises(BadIndex):
-        embed_odd(Matrix.identity(QQ, 6))
-
-
 def test_eval_word_basics():
     empty = Word(CTX3, QQ, ())
     assert eval_word(empty) == Matrix.identity(QQ, 7)
@@ -425,7 +398,8 @@ def test_word_json_round_trip_all_letter_kinds():
     assert canonical_json(obj) == canonical_json(json.loads(canonical_json(obj)))
 
     LQ = ring_from_string("laurent:F5")
-    wt = Word(CTX3, LQ, (GenLabel("THETA", param=4), GenLabel("THETA", param=4, exp=-1)))
+    wt = Word(CTX3, LQ, (GenLabel("THETA", param=4), GenLabel("THETA", param=4, exp=-1),
+                         GenLabel("THETA")))
     assert word_from_json(word_to_json(wt)) == wt
 
     we = Word(ECTX3, F5, (GenLabel("OE", 1, 3, Scalar(F5, F5.from_int(2))),))
@@ -441,6 +415,32 @@ def test_word_json_rejects_garbage():
         word_from_json({"n": 3, "ring": "Q", "letters": [{"fam": "NOPE"}]})
     with pytest.raises(JSONFormatError):
         word_from_json({"n": 3, "ring": "Q", "letters": [{"fam": "F1", "i": 1}]})
+    with pytest.raises(JSONFormatError):
+        word_from_json({"n": 3, "ring": "Q", "letters": {"fam": "F1", "i": 1, "z": "1"}})
+    with pytest.raises(UnsupportedRing):
+        word_from_json({"n": 3, "ring": 5, "letters": []})
+
+
+@pytest.mark.parametrize("letter", [
+    {"fam": "PERM"},
+    {"fam": "PERM", "perm": 7},
+    {"fam": "PERM", "perm": ["1", 2, 3, 4, 5, 6, 7]},
+    {"fam": "PERM", "perm": [1, 2, 3, 4, 5, 6, [7]]},
+    {"fam": "DIAG", "d": ["1", "1", "1"]},
+    {"fam": "DIAG", "d0": "1"},
+    {"fam": "DIAG", "d0": "1", "d": "1"},
+    {"fam": "F1", "i": "1", "z": "1"},
+    {"fam": "F1", "i": True, "z": "1"},
+    {"fam": "F3", "i": 1, "j": 2.0, "z": "1"},
+    {"fam": "OE", "i": 1, "z": "1"},
+    {"fam": "THETA"},
+    {"fam": "THETA", "m": "2"},
+    {"fam": "THETA", "m": False},
+    {"fam": "F1", "i": 1, "z": "1", "exp": True},
+])
+def test_word_json_rejects_malformed_letters(letter):
+    with pytest.raises(JSONFormatError):
+        word_from_json({"n": 3, "ring": "Q", "letters": [letter]})
 
 
 def test_random_word_deterministic_and_orthogonal():

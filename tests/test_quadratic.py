@@ -7,26 +7,24 @@ import pytest
 from orthgen.errors import (
     IndexOutOfRange,
     JSONFormatError,
-    NotAUnit,
     NotMonomial,
-    NotTOShape,
     NotUnipotent,
     RingMismatch,
+    UnsupportedRing,
 )
 from orthgen.quadratic_space import (
     FormContext,
     Matrix,
     Vector,
-    even_part,
+    embed_blocks,
     is_orthogonal,
     matrices_congruent,
     matrix_in_ideal,
-    matrix_inverse_local,
-    matrix_lift,
     matrix_residue,
     monomial_pattern,
     one_perp,
     orthogonal_inverse,
+    split_blocks,
     unitriangular_inverse,
 )
 from orthgen.rings import (
@@ -300,22 +298,6 @@ def test_unitriangular_inverse():
         unitriangular_inverse(Matrix.from_scalars(F7, [[2, 1], [0, 1]]))
 
 
-def test_matrix_inverse_local():
-    rng = random.Random(13)
-    found = 0
-    for _ in range(40):
-        m = random_matrix(Z9, 4, rng)
-        if not m.det().is_unit():
-            continue
-        found += 1
-        inv = matrix_inverse_local(m)
-        assert m @ inv == Matrix.identity(Z9, 4)
-        assert inv @ m == Matrix.identity(Z9, 4)
-    assert found > 5
-    with pytest.raises(NotAUnit):
-        matrix_inverse_local(Matrix.from_scalars(Z9, [[3, 0], [0, 1]]))
-
-
 def test_monomial_pattern():
     m = Matrix.from_scalars(F7, [[0, 2, 0], [0, 0, 3], [4, 0, 0]])
     assert monomial_pattern(m) == [2, 0, 1]
@@ -332,17 +314,36 @@ def test_one_perp_round_trip():
     m = random_matrix(F7, 4, rng)
     lifted = one_perp(m)
     assert lifted.dim == 5
-    assert lifted[0, 0] == F7(1)
-    assert even_part(lifted) == m
+    assert lifted.rows[0] == [F7.one] + [F7.zero] * 4
+    assert [row[0] for row in lifted.rows[1:]] == [F7.zero] * 4
+    assert Matrix(F7, [row[1:] for row in lifted.rows[1:]]) == m
     # lifting commutes with multiplication
     m2 = random_matrix(F7, 4, rng)
     assert one_perp(m @ m2) == one_perp(m) @ one_perp(m2)
     with pytest.raises(IndexOutOfRange):
         one_perp(Matrix.identity(F7, 3))
-    bad = Matrix.identity(F7, 5)
-    bad.set(0, 2, F7(1))
-    with pytest.raises(NotTOShape):
-        even_part(bad)
+
+
+def test_block_helpers_place_and_read_the_u_v_blocks():
+    rng = random.Random(8)
+    ctx = FormContext(3)
+    uu, uv, vu, vv = (random_matrix(F7, 3, rng) for _ in range(4))
+    m = embed_blocks(ctx, F7, uu, uv, vu, vv)
+    for i in range(3):
+        for j in range(3):
+            assert m.rows[1 + i][1 + j] == uu.rows[i][j]
+            assert m.rows[1 + i][4 + j] == uv.rows[i][j]
+            assert m.rows[4 + i][1 + j] == vu.rows[i][j]
+            assert m.rows[4 + i][4 + j] == vv.rows[i][j]
+    assert m.rows[0] == [F7.one] + [F7.zero] * 6
+    assert [row[0] for row in m.rows] == [F7.one] + [F7.zero] * 6
+    assert split_blocks(m, ctx) == (uu, uv, vu, vv)
+    eye, zero = Matrix.identity(F7, 3), Matrix.zeros(F7, 3)
+    assert split_blocks(embed_blocks(ctx, F7, uv=uv), ctx) == (eye, uv, zero, eye)
+    with pytest.raises(IndexOutOfRange):
+        embed_blocks(ctx, F7, uu=Matrix.identity(F7, 2))
+    with pytest.raises(IndexOutOfRange):
+        split_blocks(Matrix.identity(F7, 5), ctx)
 
 
 def test_congruence_and_residue():
@@ -359,17 +360,19 @@ def test_congruence_and_residue():
     F3 = PrimeField(3)
     r = matrix_residue(a)
     assert r.ring == F3
-    lifted = matrix_lift(Z9, r)
-    assert matrices_congruent(a, lifted, mx)
+    assert r.rows == [[x % 3 for x in row] for row in a.rows]
+    assert matrices_congruent(a, Matrix(Z9, r.rows), mx)
+    m7 = random_matrix(F7, 3, rng)
+    assert matrix_residue(m7) == m7
 
     T = ring_from_string("trunc:Fp:5:2")
     mt = Matrix.from_scalars(T, [[Scalar(T, (1, 2)), Scalar(T, (0, 1))], [0, 1]])
     rt = matrix_residue(mt)
     assert rt == Matrix.from_scalars(PrimeField(5), [[1, 0], [0, 1]])
-    back = matrix_lift(T, rt)
+    back = Matrix(T, [[(x, 0) for x in row] for row in rt.rows])
     assert matrices_congruent(mt, back, mx)
-    with pytest.raises(RingMismatch):
-        matrix_lift(Z9, rt)
+    with pytest.raises(UnsupportedRing):
+        matrix_residue(Matrix.identity(ring_from_string("poly:Q"), 2))
 
 
 def test_matrix_json_round_trip():
@@ -382,6 +385,8 @@ def test_matrix_json_round_trip():
         Matrix.from_json({"ring": "Q", "dim": 2, "entries": [["1"]]})
     with pytest.raises(JSONFormatError):
         Matrix.from_json({"ring": "nope", "dim": 1, "entries": [["1"]]})
+    with pytest.raises(JSONFormatError):
+        Matrix.from_json({"ring": 5, "dim": 1, "entries": [["1"]]})
     with pytest.raises(JSONFormatError):
         Matrix.from_json({"ring": "Q", "dim": 0, "entries": []})
     with pytest.raises(JSONFormatError):

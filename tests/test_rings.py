@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from orthgen.rings import (
     RationalField,
     Scalar,
     TruncatedRing,
+    _is_prime,
     canonical_json,
-    ideal_member,
     laurent_of_poly,
     lift_scalar,
     residue_ring,
@@ -238,41 +239,42 @@ def test_ideal_membership():
     zero = IdealDescriptor("zero")
     mx = IdealDescriptor("max")
     Z9 = ModularRing(3, 2)
-    assert ideal_member(zero, Z9(0))
-    assert not ideal_member(zero, Z9(3))
+    assert zero.member(Z9, 0)
+    assert not zero.member(Z9, 3)
     for v, inside in [(0, True), (3, True), (6, True), (1, False), (5, False)]:
-        assert ideal_member(mx, Z9(v)) is inside
+        assert mx.member(Z9, v) is inside
     T = ring_from_string("trunc:Fp:5:3")
-    assert ideal_member(mx, Scalar(T, (0, 1, 2)))
-    assert not ideal_member(mx, Scalar(T, (1, 1, 0)))
+    assert mx.member(T, (0, 1, 2))
+    assert not mx.member(T, (1, 1, 0))
     F7 = PrimeField(7)
-    assert ideal_member(mx, F7(0))
-    assert not ideal_member(mx, F7(1))
+    assert mx.member(F7, 0)
+    assert not mx.member(F7, 1)
     with pytest.raises(UnsupportedRing):
-        ideal_member(mx, Scalar(ring_from_string("poly:Q"), ()))
+        mx.member(ring_from_string("poly:Q"), ())
 
 
 def test_ideal_xmult_and_extmax():
     P = ring_from_string("poly:Q")
     xm = IdealDescriptor("xmult")
     X = variable(P)
-    assert ideal_member(xm, X * X + X)
-    assert ideal_member(xm, P(0))
-    assert not ideal_member(xm, X + 1)
+    assert xm.member(P, (X * X + X).payload)
+    assert xm.member(P, P.zero)
+    assert not xm.member(P, (X + 1).payload)
     with pytest.raises(UnsupportedRing):
-        ideal_member(xm, ring_from_string("laurent:Q")(1))
+        L = ring_from_string("laurent:Q")
+        xm.member(L, L.one)
 
     em = IdealDescriptor("extmax")
     P9 = ring_from_string("poly:Zpk:3:2")
-    assert ideal_member(em, Scalar(P9, (3, 6)))
-    assert not ideal_member(em, Scalar(P9, (1, 3)))
+    assert em.member(P9, (3, 6))
+    assert not em.member(P9, (1, 3))
     L25 = ring_from_string("laurent:Zpk:5:2")
-    assert ideal_member(em, Scalar(L25, (-1, (5, 10))))
-    assert not ideal_member(em, Scalar(L25, (-1, (5, 1))))
-    assert ideal_member(em, ring_from_string("poly:Q")(0))
-    assert not ideal_member(em, ring_from_string("poly:Q")(1))
+    assert em.member(L25, (-1, (5, 10)))
+    assert not em.member(L25, (-1, (5, 1)))
+    assert em.member(P, P.zero)
+    assert not em.member(P, P.one)
     with pytest.raises(UnsupportedRing):
-        ideal_member(em, PrimeField(7)(0))
+        em.member(PrimeField(7), 0)
     with pytest.raises(UnsupportedRing):
         IdealDescriptor("prime")
 
@@ -344,3 +346,25 @@ def test_rational_distributivity(a, b, c):
 def test_prime_field_inverse_law(v):
     F7 = PrimeField(7)
     assert F7(v) * F7(v) ** -1 == 1
+
+
+def test_prime_check_is_exact_and_fast():
+    started = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1  # a 19-digit prime
+    assert time.perf_counter() - started < 1.0
+    for carmichael in (561, 41041, 3215031751):
+        with pytest.raises(UnsupportedRing):
+            PrimeField(carmichael)
+    # A strong pseudoprime to the first 12 prime bases; base 41 exposes it.
+    with pytest.raises(UnsupportedRing):
+        ModularRing(318665857834031151167461, 2)
+    with pytest.raises(UnsupportedRing):
+        ring_from_string("Fp:3317044064679887385961981")
+    small = [p for p in range(-3, 3000) if p > 1 and all(p % d for d in range(2, int(p**0.5) + 1))]
+    assert [p for p in range(-3, 3000) if _is_prime(p)] == small
+
+
+def test_ring_descriptor_must_be_a_string():
+    for bad in (5, None, ["Q"]):
+        with pytest.raises(UnsupportedRing):
+            ring_from_string(bad)

@@ -28,7 +28,6 @@ from orthgen.transvections import (
     OrderIdealWitness,
     TransvectionSpec,
     is_alternating,
-    normalize_w_pairs,
     solve_alternating,
     split_w_pair,
     transvection,
@@ -256,31 +255,6 @@ def test_solve_alternating_errors():
     witness = OrderIdealWitness(_s(QQ, 2), [_s(QQ, 2)], [_s(QQ, 1)])
     with pytest.raises(BadWitness):
         solve_alternating(v, w, witness)
-
-
-# --- pair normalization ----------------------------------------------------
-
-
-def test_normalize_w_pairs_identity_when_lower_block_empty():
-    w = _vec(QQ, [4, 1, 0, 7, 0, 0, 0])
-    assert normalize_w_pairs(CTX3, w) == (1, 2, 3, 4, 5, 6, 7)
-
-
-def test_normalize_w_pairs_swaps_occupied_pairs():
-    w = _vec(QQ, [1, 1, 0, 2, 0, 3, 0])
-    image = normalize_w_pairs(CTX3, w)
-    assert image == (1, 2, 6, 4, 5, 3, 7)
-    sigma = perm_matrix(CTX3, QQ, image)
-    moved = sigma.apply(w)
-    assert moved == _vec(QQ, [1, 1, 3, 2, 0, 0, 0])
-
-
-def test_normalize_w_pairs_rejects_fully_occupied_pair():
-    w = _vec(QQ, [0, 1, 0, 0, 2, 0, 0])
-    with pytest.raises(HypothesisViolated):
-        normalize_w_pairs(CTX3, w)
-    with pytest.raises(IndexOutOfRange):
-        normalize_w_pairs(ECTX3, _vec(QQ, [1, 0, 0, 0, 0, 0]))
 
 
 # --- three-factor splitting ------------------------------------------------
