@@ -314,3 +314,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -47,9 +47,10 @@ from .generators import (
     F_FAMILIES,
     GenLabel,
     Word,
+    apply_letter,
+    apply_word,
     diag_orthogonal,
     eval_word,
-    letter_matrix,
     perm_matrix,
     theta,
     word_from_json,
@@ -131,7 +132,10 @@ class TmtDecomposition:
         self.tau2 = tau2
 
     def recompose(self) -> Matrix:
-        return eval_word(self.tau1) @ self.mu @ eval_word(self.tau2)
+        out = self.mu.copy()
+        apply_word(out, self.tau1, left=True)
+        apply_word(out, self.tau2)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -167,7 +171,11 @@ class LocalDecomposition:
         self.residual = residual
 
     def recompose(self) -> Matrix:
-        return eval_word(self.tau1) @ self.mu @ eval_word(self.tau2) @ self.residual
+        out = self.residual.copy()
+        apply_word(out, self.tau2, left=True)
+        out = self.mu @ out
+        apply_word(out, self.tau1, left=True)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -335,14 +343,12 @@ def tmt_decompose(alpha: Matrix, ctx: FormContext) -> TmtDecomposition:
     right_ops: list[GenLabel] = []
 
     def left(label: GenLabel) -> None:
-        nonlocal beta
         left_ops.append(label)
-        beta = letter_matrix(ctx, R, label) @ beta
+        apply_letter(ctx, beta, label, left=True)
 
     def right(label: GenLabel) -> None:
-        nonlocal beta
         right_ops.append(label)
-        beta = beta @ letter_matrix(ctx, R, label)
+        apply_letter(ctx, beta, label)
 
     free = set(range(1, n + 1))
     for k in range(1, n + 1):
@@ -512,6 +518,8 @@ def local_decompose(alpha: Matrix, ctx: FormContext) -> LocalDecomposition:
     Reduces mod the maximal ideal, decomposes the residue over the
     field, lifts the words and the core canonically, and returns the
     quotient of alpha by the lifted product as the residual factor.
+    The lifted product is orthogonal, so the quotient is built by
+    applying the inverse letters and the form inverse of the core.
     """
     R = alpha.ring
     residue_ring(R)  # UnsupportedRing for non-local scalar rings
@@ -524,8 +532,10 @@ def local_decompose(alpha: Matrix, ctx: FormContext) -> LocalDecomposition:
     tau1 = lift_mod(reduced.tau1, "to-word", R, ideal)
     tau2 = lift_mod(reduced.tau2, "to-word", R, ideal)
     mu = lift_mod(reduced.mu, "monomial", R, ideal)
-    lifted = eval_word(tau1) @ mu @ eval_word(tau2)
-    residual = orthogonal_inverse(lifted, ctx) @ alpha
+    residual = alpha.copy()
+    apply_word(residual, tau1.inverse(), left=True)
+    residual = orthogonal_inverse(mu, ctx) @ residual
+    apply_word(residual, tau2.inverse(), left=True)
     if not is_orthogonal(residual, ctx):
         raise DecompositionError("residual lost orthogonality")
     if not matrices_congruent(residual, Matrix.identity(R, ctx.dim), ideal):
@@ -595,13 +605,14 @@ def theta_conjugate(beta, direction: int, ctx: FormContext, m=None):
     L = lmat.ring
     if not is_orthogonal(lmat, ctx):
         raise NotOrthogonal("input does not preserve the form")
-    th = theta(ctx, L, m)
-    th_inv = letter_matrix(ctx, L, GenLabel("THETA", param=m, exp=-1))
-    conj = th @ lmat @ th_inv if direction == 1 else th_inv @ lmat @ th
+    conj = lmat.copy()
+    apply_letter(ctx, conj, GenLabel("THETA", param=m, exp=direction), left=True)
+    apply_letter(ctx, conj, GenLabel("THETA", param=m, exp=-direction))
 
     if spec is not None and direction == 1 and (m is None or m == ctx.n + 1):
         base = spec.x.ring
         f = Scalar(base, base.make(list(spec.x.payload[1:]))) if spec.x.payload else Scalar(base, base.zero)
+        th = theta(ctx, L, m)
         vL = th.apply(_laurent_vector(spec.v.to_vector(ctx)))
         wL = th.apply(_laurent_vector(spec.w.to_vector(ctx)))
         if conj != transvection_matrix(ctx, vL, wL, laurent_of_poly(f)):
@@ -716,8 +727,8 @@ def check_horrocks_instance(inst: HorrocksInstance, claim=None) -> dict:
     if claim is not None:
         alpha0, word = claim
         verdict["claim_constant"] = is_orthogonal(alpha0, ctx)
-        verdict["claim_recomposes"] = (
-            _constant_matrix_over(alpha0, inst.alpha.ring) @ eval_word(word) == inst.alpha
-        )
+        recomposed = _constant_matrix_over(alpha0, inst.alpha.ring)
+        apply_word(recomposed, word)
+        verdict["claim_recomposes"] = recomposed == inst.alpha
     verdict["accepted"] = all(verdict.values())
     return verdict

@@ -3,9 +3,12 @@
 The five F families are stored as one term table mapping each family to
 its elementary-matrix terms; gen_F is a direct transcription of that
 table, and the identity suite's mutation self-test perturbs the table to
-prove the test battery would notice a wrong sign.  Words are sequences
-of GenLabels; evaluation is left-to-right, and letter inverses are
-closed-form (F(z)^-1 = F(-z)), never numeric inversion.
+prove the test battery would notice a wrong sign.  Letters act on
+matrices through one kernel, apply_letter, as row and column operations
+read from the same table; no letter is multiplied in as a dense matrix.
+Words are sequences of GenLabels; evaluation is left-to-right, and
+letter inverses are closed-form (F(z)^-1 = F(-z)), never numeric
+inversion.
 
 Conventions fixed here and relied on everywhere else:
   * commutator(a, b) = a*b*a^-1*b^-1
@@ -18,6 +21,7 @@ from __future__ import annotations
 from .errors import (
     BadIndex,
     BadSign,
+    IndexOutOfRange,
     JSONFormatError,
     NotDeltaCommuting,
     OddLength,
@@ -45,7 +49,8 @@ __all__ = [
     "diag_orthogonal",
     "theta",
     "commutator",
-    "letter_matrix",
+    "apply_letter",
+    "apply_word",
     "eval_word",
     "word_shuffle",
     "word_to_json",
@@ -94,20 +99,30 @@ def _check_f_indices(ctx: FormContext, family: str, i: int, j) -> None:
             raise BadIndex(f"{family} needs i != j, got i = j = {i}")
 
 
+def _f_terms(ctx: FormContext, R: Ring, family: str, i: int, j, z) -> list:
+    """(row, column, coefficient payload) of each entry F^family(z) adds to I.
+
+    Reads _F_TERMS at call time, so a rebound table reaches every caller.
+    """
+    zpow = {1: z, 2: R.mul(z, z)}
+    return [
+        (_slot(ctx, row, i, j), _slot(ctx, col, i, j), R.mul(R.from_int(coeff), zpow[power]))
+        for row, col, coeff, power in _F_TERMS[family]
+    ]
+
+
 def gen_F(ctx: FormContext, family: str, i: int, j, z: Scalar) -> Matrix:
     """The generator F^family with parameter z, from the term table."""
     _check_f_indices(ctx, family, i, j)
     R = z.ring
     m = Matrix.identity(R, ctx.dim)
-    zpow = {1: z.payload, 2: R.mul(z.payload, z.payload)}
-    for row, col, coeff, power in _F_TERMS[family]:
-        r, c = _slot(ctx, row, i, j), _slot(ctx, col, i, j)
-        m.rows[r][c] = R.add(m.rows[r][c], R.mul(R.from_int(coeff), zpow[power]))
+    for r, c, coeff in _f_terms(ctx, R, family, i, j, z.payload):
+        m.rows[r][c] = R.add(m.rows[r][c], coeff)
     return m
 
 
-def gen_oe(ctx: FormContext, i: int, j: int, z: Scalar) -> Matrix:
-    """The even-context generator oe_ij(z) = I + e_ij(z) - e_delta(j),delta(i)(z)."""
+def _oe_terms(ctx: FormContext, R: Ring, i: int, j: int, z) -> tuple:
+    """(row, column, coefficient payload) of the two entries oe_ij(z) adds to I."""
     if ctx.odd:
         raise BadIndex("oe generators live in the even context")
     dim = ctx.dim
@@ -118,10 +133,16 @@ def gen_oe(ctx: FormContext, i: int, j: int, z: Scalar) -> Matrix:
     di, dj = ctx.delta(i - 1) + 1, ctx.delta(j - 1) + 1
     if j == di:
         raise BadIndex(f"oe_{{{i},{j}}} is degenerate: j is the delta-partner of i")
+    return ((i - 1, j - 1, z), (dj - 1, di - 1, R.neg(z)))
+
+
+def gen_oe(ctx: FormContext, i: int, j: int, z: Scalar) -> Matrix:
+    """The even-context generator oe_ij(z) = I + e_ij(z) - e_delta(j),delta(i)(z)."""
     R = z.ring
-    m = Matrix.identity(R, dim)
-    m.rows[i - 1][j - 1] = R.add(m.rows[i - 1][j - 1], z.payload)
-    m.rows[dj - 1][di - 1] = R.add(m.rows[dj - 1][di - 1], R.neg(z.payload))
+    terms = _oe_terms(ctx, R, i, j, z.payload)
+    m = Matrix.identity(R, ctx.dim)
+    for r, c, a in terms:
+        m.rows[r][c] = R.add(m.rows[r][c], a)
     return m
 
 
@@ -146,15 +167,8 @@ def perm_matrix(ctx: FormContext, ring: Ring, pi) -> Matrix:
     return m
 
 
-def _invert_perm(pi) -> tuple:
-    out = [0] * len(pi)
-    for s, t in enumerate(pi):
-        out[t - 1] = s + 1
-    return tuple(out)
-
-
-def diag_orthogonal(ctx: FormContext, d0: Scalar, d) -> Matrix:
-    """diag(d0, d1..dn, d1^-1..dn^-1); needs d0^2 = 1 and every d_i a unit."""
+def _diag_entries(ctx: FormContext, d0: Scalar, d) -> list:
+    """The diagonal payloads of diag_orthogonal(ctx, d0, d), after its checks."""
     if not ctx.odd:
         raise BadIndex("diagonal generators live in the odd context")
     d = tuple(d)
@@ -166,22 +180,32 @@ def diag_orthogonal(ctx: FormContext, d0: Scalar, d) -> Matrix:
             raise RingMismatch(f"{x.ring.descriptor} vs {R.descriptor}")
     if (d0 * d0) != 1:
         raise BadSign(f"center entry must square to 1, got {d0!r}")
-    m = Matrix.identity(R, ctx.dim)
-    m.rows[0][0] = d0.payload
-    for i in range(1, ctx.n + 1):
-        m.rows[ctx.u(i)][ctx.u(i)] = d[i - 1].payload
-        m.rows[ctx.v(i)][ctx.v(i)] = d[i - 1].inv().payload
+    return [d0.payload] + [x.payload for x in d] + [x.inv().payload for x in d]
+
+
+def diag_orthogonal(ctx: FormContext, d0: Scalar, d) -> Matrix:
+    """diag(d0, d1..dn, d1^-1..dn^-1); needs d0^2 = 1 and every d_i a unit."""
+    entries = _diag_entries(ctx, d0, d)
+    m = Matrix.identity(d0.ring, ctx.dim)
+    for s, x in enumerate(entries):
+        m.rows[s][s] = x
     return m
 
 
-def theta(ctx: FormContext, ring: Ring, m=None) -> Matrix:
-    """diag(X,...,X, 1,...,1) with X in the first m slots (default n+1)."""
+def _theta_slots(ctx: FormContext, ring: Ring, m) -> int:
+    """The number of X slots of theta(ctx, ring, m), after its checks."""
     if not isinstance(ring, (PolynomialRing, LaurentRing)):
         raise UnsupportedRing(f"theta needs a polynomial or laurent ring, got {ring.descriptor}")
     if m is None:
         m = ctx.n + 1
     if not 0 <= m <= ctx.dim:
         raise BadIndex(f"theta slot count {m} outside 0..{ctx.dim}")
+    return m
+
+
+def theta(ctx: FormContext, ring: Ring, m=None) -> Matrix:
+    """diag(X,...,X, 1,...,1) with X in the first m slots (default n+1)."""
+    m = _theta_slots(ctx, ring, m)
     x = variable(ring)
     out = Matrix.identity(ring, ctx.dim)
     for s in range(m):
@@ -269,29 +293,67 @@ def _validate_letter(ctx: FormContext, ring: Ring, letter: GenLabel) -> None:
             raise UnsupportedRing("inverse THETA letters need a laurent ring")
 
 
-def letter_matrix(ctx: FormContext, ring: Ring, letter: GenLabel) -> Matrix:
-    """The matrix of one letter, applying the closed-form inverse if exp = -1."""
-    _validate_letter(ctx, ring, letter)
+def apply_letter(ctx: FormContext, m: Matrix, letter: GenLabel, left: bool = False) -> None:
+    """Multiply m in place by one letter: m <- L*m if left, else m <- m*L.
+
+    A letter is the identity plus a few entries, a permutation or a
+    diagonal, so it acts by row or column operations at O(dim) ring
+    operations per line touched; exp = -1 applies the closed-form inverse.
+    """
+    R = m.ring
+    if m.dim != ctx.dim:
+        raise IndexOutOfRange(f"dimension mismatch {m.dim} vs {ctx.dim}")
+    _validate_letter(ctx, R, letter)
     fam, e = letter.family, letter.exp
-    if fam in F_FAMILIES:
-        z = letter.param if e == 1 else -letter.param
-        return gen_F(ctx, fam, letter.i, letter.j, z)
-    if fam == "OE":
-        z = letter.param if e == 1 else -letter.param
-        return gen_oe(ctx, letter.i, letter.j, z)
-    if fam == "PERM":
-        pi = letter.param if e == 1 else _invert_perm(letter.param)
-        return perm_matrix(ctx, ring, pi)
-    if fam == "DIAG":
-        d0, d = letter.param
-        if e == -1:
-            d = tuple(x.inv() for x in d)
-        return diag_orthogonal(ctx, d0, d)
-    out = theta(ctx, ring, letter.param)
-    if e == -1:
-        for s in range(ctx.dim):
-            out.rows[s][s] = ring.inv(out.rows[s][s])
-    return out
+    if fam in F_FAMILIES or fam == "OE":
+        z = letter.param.payload if e == 1 else R.neg(letter.param.payload)
+        if fam == "OE":
+            terms = _oe_terms(ctx, R, letter.i, letter.j, z)
+        else:
+            terms = _f_terms(ctx, R, fam, letter.i, letter.j, z)
+        # Each term (r, c, a) of L = I + sum a*e_rc adds a times row c to
+        # row r (left) or a times column r to column c (right), reading
+        # the line as it was before L.  In F1 and F2 the center line is
+        # both a source and a target.  On the right, table order reads
+        # the center column (first term) before writing it (second); on
+        # the left the first term writes the center row the second reads,
+        # so the left runs the terms in reverse rather than snapshot it.
+        if left:
+            for r, c, a in reversed(terms):
+                m.row_add(r, c, a)
+        else:
+            for r, c, a in terms:
+                m.col_add(c, r, a)
+    elif fam == "PERM":
+        # sigma*e_s = e_pi(s): L*m moves row s to row pi(s), m*L takes
+        # column c from column pi(c); the inverse runs both the other way.
+        pi = [int(t) - 1 for t in letter.param]
+        if left == (e == 1):
+            moved = [None] * ctx.dim
+            for s, t in enumerate(pi):
+                moved[t] = s
+        else:
+            moved = pi
+        if left:
+            m.rows = [m.rows[s] for s in moved]
+        else:
+            m.rows = [[row[s] for s in moved] for row in m.rows]
+    else:
+        if fam == "DIAG":
+            d0, d = letter.param
+            if e == -1:
+                d = tuple(x.inv() for x in d)
+            scales = _diag_entries(ctx, d0, d)
+        else:
+            x = variable(R).payload
+            if e == -1:
+                x = R.inv(x)
+            scales = [x] * _theta_slots(ctx, R, letter.param)
+        for s, x in enumerate(scales):
+            if left:
+                m.row_scale(s, x)
+            else:
+                m.col_scale(s, x)
 
 
 class Word:
@@ -331,11 +393,17 @@ class Word:
         return Word(self.ctx, self.ring, self.letters + other.letters)
 
 
+def apply_word(m: Matrix, word: Word, left: bool = False) -> None:
+    """Multiply m in place by the word's product, on the left or the right."""
+    letters = reversed(word.letters) if left else word.letters
+    for letter in letters:
+        apply_letter(word.ctx, m, letter, left)
+
+
 def eval_word(word: Word) -> Matrix:
-    """Left-to-right product of the letter matrices."""
+    """Left-to-right product of the letters."""
     out = Matrix.identity(word.ring, word.ctx.dim)
-    for letter in word.letters:
-        out = out @ letter_matrix(word.ctx, word.ring, letter)
+    apply_word(out, word)
     return out
 
 

@@ -383,6 +383,22 @@ class Matrix:
             if not R.is_zero(s):
                 row[target] = R.add(row[target], R.mul(coeff, s))
 
+    def row_scale(self, target: int, coeff) -> None:
+        """row[target] *= coeff, coeff a raw payload."""
+        R = self.ring
+        row = self.rows[target]
+        for j, s in enumerate(row):
+            if not R.is_zero(s):
+                row[j] = R.mul(coeff, s)
+
+    def col_scale(self, target: int, coeff) -> None:
+        """col[target] *= coeff, coeff a raw payload."""
+        R = self.ring
+        for row in self.rows:
+            s = row[target]
+            if not R.is_zero(s):
+                row[target] = R.mul(coeff, s)
+
     def det(self) -> Scalar:
         """Division-free determinant (Berkowitz), valid over any commutative ring."""
         R = self.ring
@@ -536,11 +552,12 @@ class FormContext:
 
 
 def is_orthogonal(M: Matrix, ctx: FormContext) -> bool:
-    """Does M preserve the bilinear form: M^T * gram * M == gram."""
-    if M.dim != ctx.dim:
-        raise IndexOutOfRange(f"matrix dim {M.dim} does not match form dim {ctx.dim}")
-    G = ctx.gram(M.ring)
-    return M.transpose() @ G @ M == G
+    """Does M preserve the bilinear form: M^T * gram * M == gram.
+
+    Tested as orthogonal_inverse(M) @ M == I, one product instead of
+    two; the two agree because gram is invertible when 2 is a unit.
+    """
+    return (orthogonal_inverse(M, ctx) @ M).is_identity()
 
 
 def orthogonal_inverse(M: Matrix, ctx: FormContext) -> Matrix:

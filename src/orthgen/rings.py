@@ -51,6 +51,11 @@ _SCALAR_KINDS = ("Q", "Fp", "Zpk", "trunc")
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
+# Zpk:<p>:<k> is refused when its modulus p^k may exceed this many bits,
+# judged from k * bit_length(p) before any power is computed: building
+# p^k and 1/2 mod p^k for a descriptor like Zpk:3:1000000000 would stall.
+_MAX_MODULUS_BITS = 4096
+
 
 def _is_prime(p: int) -> bool:
     if p >= _MR_LIMIT:
@@ -271,6 +276,8 @@ class ModularRing(_ModularBase):
         residue = PrimeField(p)  # rejects p = 2 and composite p
         if k < 2:
             raise UnsupportedRing("exponent must be >= 2, use Fp for k = 1")
+        if k * p.bit_length() > _MAX_MODULUS_BITS:
+            raise UnsupportedRing(f"modulus {p}^{k} exceeds {_MAX_MODULUS_BITS} bits")
         self.residue = residue
         self.p = p
         self.k = k

@@ -9,12 +9,14 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import orthgen
 from orthgen.cli import main
 from orthgen.decompose import HorrocksInstance
 from orthgen.generators import GenLabel, Word, eval_word, gen_F, perm_matrix, random_word
@@ -280,6 +282,28 @@ def test_file_flag_reads_from_disk(tmp_path):
     code, out = run_cli(["verify", "--what", "monomial", "--file", str(path)])
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_rejects_a_huge_modulus_with_exit_two():
+    blob = json.dumps({"ring": "Zpk:3:1000000000", "dim": 1, "entries": [[{"mod": 3, "val": 1}]]})
+    assert run_cli(["verify", "--what", "orthogonal"], blob) == (2, "")
+
+
+def _run_module(argv):
+    env = dict(os.environ)
+    src = str(Path(orthgen.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "orthgen.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli():
+    argv = next(case[1] for case in CASES if case[0] == "gen_f3_q")
+    proc = _run_module(argv)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "gen_f3_q.out").read_text(encoding="utf-8")
+    proc = _run_module(["gen", "--bogus"])
+    assert proc.returncode == 2 and proc.stdout == ""
 
 
 def test_verify_congruent_fails_with_exit_one():

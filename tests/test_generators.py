@@ -26,7 +26,6 @@ from orthgen.generators import (
     eval_word,
     gen_F,
     gen_oe,
-    letter_matrix,
     perm_matrix,
     random_word,
     theta,
@@ -37,6 +36,7 @@ from orthgen.generators import (
 from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal, one_perp, orthogonal_inverse
 from orthgen.rings import PrimeField, RationalField, Scalar, canonical_json, ring_from_string
 
+from dense_oracle import letter_matrix
 from sampling import random_perm
 
 QQ = RationalField()

@@ -1,0 +1,218 @@
+"""The sparse letter kernel against the dense letter products it replaced.
+
+apply_letter must give exactly letter_matrix(...) @ M on the left and
+M @ letter_matrix(...) on the right, for every letter family, both
+exponents and every ring kind, and must refuse the letters the dense
+path refuses with the same error class.  A counting guard keeps dense
+products out of word evaluation and the field decomposition.
+"""
+
+import random
+
+import pytest
+
+from orthgen import generators
+from orthgen.decompose import tmt_decompose
+from orthgen.errors import OrthgenError
+from orthgen.generators import (
+    F_FAMILIES,
+    GenLabel,
+    Word,
+    apply_letter,
+    eval_word,
+    gen_F,
+    perm_matrix,
+    random_word,
+)
+from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal
+from orthgen.rings import LaurentRing, PolynomialRing, Scalar, ring_from_string
+
+from dense_oracle import letter_matrix
+from sampling import random_perm
+
+RINGS = ("Q", "Fp:5", "Zpk:3:2", "trunc:F5:3", "poly:Q", "laurent:Q")
+ODD = FormContext(3)
+EVEN = FormContext(3, odd=False)
+
+
+def _random_dense(ring, dim, rng):
+    rows = [[ring.sample(rng) if rng.random() < 0.7 else ring.zero for _ in range(dim)]
+            for _ in range(dim)]
+    return Matrix(ring, rows, copy=False)
+
+
+def _scalar(ring, rng):
+    return Scalar(ring, ring.sample(rng))
+
+
+def _letters(ctx, ring, rng):
+    """One letter of every family that lives in ctx over ring, both exponents."""
+    out = []
+    if ctx.odd:
+        for fam in F_FAMILIES:
+            i, j = (2, None) if fam in ("F1", "F2") else (3, 1)
+            out.append(GenLabel(fam, i, j, _scalar(ring, rng)))
+        d0 = Scalar(ring, ring.neg(ring.one) if rng.randrange(2) else ring.one)
+        d = tuple(Scalar(ring, ring.sample_unit(rng)) for _ in range(ctx.n))
+        out.append(GenLabel("DIAG", param=(d0, d)))
+    else:
+        out.append(GenLabel("OE", 1, 5, _scalar(ring, rng)))
+        out.append(GenLabel("OE", 6, 2, _scalar(ring, rng)))
+    out.append(GenLabel("PERM", param=random_perm(ctx, rng)))
+    if isinstance(ring, (PolynomialRing, LaurentRing)):
+        out.append(GenLabel("THETA", param=None))
+        out.append(GenLabel("THETA", param=rng.randrange(ctx.dim + 1)))
+    inverses = [l.inverse() for l in out]
+    if not isinstance(ring, LaurentRing):
+        inverses = [l for l in inverses if l.family != "THETA"]
+    return out + inverses
+
+
+def _kernel(ctx, m, letter, left):
+    out = m.copy()
+    apply_letter(ctx, out, letter, left)
+    return out
+
+
+@pytest.mark.parametrize("desc", RINGS)
+@pytest.mark.parametrize("ctx", [ODD, EVEN], ids=["odd", "even"])
+def test_kernel_matches_dense_letter_products(desc, ctx):
+    ring = ring_from_string(desc)
+    rng = random.Random(f"{desc}:{ctx.odd}")
+    families = set()
+    for _ in range(3):
+        for letter in _letters(ctx, ring, rng):
+            dense = letter_matrix(ctx, ring, letter)
+            m = _random_dense(ring, ctx.dim, rng)
+            before = m.copy()
+            assert _kernel(ctx, m, letter, left=True) == dense @ m, letter
+            assert _kernel(ctx, m, letter, left=False) == m @ dense, letter
+            assert m == before
+            families.add((letter.family, letter.exp))
+    expected = {"PERM"} | (set(F_FAMILIES) | {"DIAG"} if ctx.odd else {"OE"})
+    if isinstance(ring, (PolynomialRing, LaurentRing)):
+        expected.add("THETA")
+    assert {fam for fam, _ in families} == expected
+    assert {exp for _, exp in families} == {1, -1}
+
+
+def test_kernel_reads_the_live_term_table(monkeypatch):
+    ring = ring_from_string("Fp:7")
+    rng = random.Random(5)
+    original = generators._F_TERMS
+    z = Scalar(ring, 3)
+    for family in sorted(original):
+        i, j = (1, None) if family in ("F1", "F2") else (1, 2)
+        unmutated = gen_F(ODD, family, i, j, z)
+        for idx in range(len(original[family])):
+            mutated = dict(original)
+            terms = list(mutated[family])
+            row, col, coeff, power = terms[idx]
+            terms[idx] = (row, col, -coeff, power)
+            mutated[family] = tuple(terms)
+            monkeypatch.setattr(generators, "_F_TERMS", mutated)
+            dense = gen_F(ODD, family, i, j, z)
+            assert dense != unmutated
+            letter = GenLabel(family, i, j, z)
+            m = _random_dense(ring, ODD.dim, rng)
+            assert _kernel(ODD, m, letter, left=True) == dense @ m
+            assert _kernel(ODD, m, letter, left=False) == m @ dense
+            monkeypatch.setattr(generators, "_F_TERMS", original)
+
+
+def _bad_letters():
+    Z9 = ring_from_string("Zpk:3:2")
+    PQ = ring_from_string("poly:Q")
+    LQ = ring_from_string("laurent:Q")
+    two, one = Scalar(Z9, 2), Scalar(Z9, 1)
+    return [
+        ("diag center squares to 4", ODD, Z9, GenLabel("DIAG", param=(two, (one, one, one)))),
+        ("diag non-unit", ODD, Z9, GenLabel("DIAG", param=(one, (one, Scalar(Z9, 3), one)))),
+        ("diag non-unit inverse", ODD, Z9,
+         GenLabel("DIAG", param=(one, (one, one, Scalar(Z9, 6))), exp=-1)),
+        ("diag short", ODD, Z9, GenLabel("DIAG", param=(one, (one, one)))),
+        ("diag even", EVEN, Z9, GenLabel("DIAG", param=(one, (one, one, one)))),
+        ("theta inverse over poly", ODD, PQ, GenLabel("THETA", param=4, exp=-1)),
+        ("theta over Z9", ODD, Z9, GenLabel("THETA", param=4)),
+        ("theta slot count", ODD, LQ, GenLabel("THETA", param=8)),
+        ("perm not delta-commuting", ODD, Z9, GenLabel("PERM", param=(1, 3, 2, 4, 5, 6, 7))),
+        ("perm not a permutation", ODD, Z9, GenLabel("PERM", param=(1, 1, 2, 4, 5, 6, 7))),
+        ("oe degenerate", EVEN, Z9, GenLabel("OE", 1, 4, one)),
+        ("oe in odd context", ODD, Z9, GenLabel("OE", 1, 2, one)),
+        ("f index", ODD, Z9, GenLabel("F3", 2, 2, one)),
+        ("f ring", ODD, Z9, GenLabel("F1", 1, None, Scalar(PQ, PQ.one))),
+    ]
+
+
+def _raised(fn):
+    try:
+        fn()
+    except OrthgenError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "ctx, ring, letter", [pytest.param(*case[1:], id=case[0]) for case in _bad_letters()])
+def test_bad_letters_raise_like_the_dense_path(ctx, ring, letter):
+    dense = _raised(lambda: letter_matrix(ctx, ring, letter))
+    assert dense is not None
+    for left in (True, False):
+        m = Matrix.identity(ring, ctx.dim)
+        assert _raised(lambda: apply_letter(ctx, m, letter, left)) is dense
+
+
+def _two_products(m, ctx):
+    gram = ctx.gram(m.ring)
+    return m.transpose() @ gram @ m == gram
+
+
+@pytest.mark.parametrize("desc", RINGS)
+def test_is_orthogonal_agrees_with_the_gram_test(desc):
+    ring = ring_from_string(desc)
+    rng = random.Random(desc)
+    seen = set()
+    for ctx in (ODD, EVEN):
+        for _ in range(6):
+            if ctx.odd:
+                m = eval_word(random_word(ctx, ring, rng, 6))
+            else:
+                m = eval_word(Word(ctx, ring, [GenLabel("OE", 1, 5, _scalar(ring, rng)),
+                                               GenLabel("OE", 6, 2, _scalar(ring, rng))]))
+            m = m @ perm_matrix(ctx, ring, random_perm(ctx, rng))
+            bent = m.copy()
+            r, c = rng.randrange(ctx.dim), rng.randrange(ctx.dim)
+            bent.rows[r][c] = ring.add(bent.rows[r][c], ring.one)
+            for cand in (m, bent, _random_dense(ring, ctx.dim, rng)):
+                verdict = is_orthogonal(cand, ctx)
+                assert verdict == _two_products(cand, ctx)
+                seen.add(verdict)
+    assert seen == {True, False}
+
+
+def _count_matmuls(monkeypatch):
+    calls = [0]
+    plain = Matrix.__matmul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return plain(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    return calls
+
+
+def test_letters_never_take_a_dense_product(monkeypatch):
+    F5 = ring_from_string("Fp:5")
+    ctx = FormContext(12)
+    rng = random.Random(12)
+    word = random_word(ctx, F5, rng, 48)
+    alpha = eval_word(word) @ perm_matrix(ctx, F5, random_perm(ctx, rng))
+
+    calls = _count_matmuls(monkeypatch)
+    eval_word(word)
+    assert calls[0] == 0
+    dec = tmt_decompose(alpha, ctx)
+    assert calls[0] == 1  # its is_orthogonal
+    assert dec.recompose() == alpha
+    assert calls[0] == 1

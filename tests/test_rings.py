@@ -143,6 +143,16 @@ def test_modular_ring_k1_rejected():
         ModularRing(3, 1)
 
 
+def test_huge_prime_power_modulus_is_refused_before_it_is_built():
+    # 3^(10^9) has 1.6e9 bits; building it would stall, so the refusal
+    # must come from the size bound alone.
+    with pytest.raises(UnsupportedRing):
+        ring_from_string("Zpk:3:1000000000")
+    assert ring_from_string("Zpk:3:2048").modulus == 3**2048
+    with pytest.raises(UnsupportedRing):
+        ring_from_string("Zpk:3:2049")
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.descriptor)
 def test_json_round_trip(ring):
     rng = random.Random(7)
