@@ -11,6 +11,7 @@ given.  ORTHGEN_SEED, when set, replaces the default suite seed.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -225,7 +226,10 @@ def _add_block_flags(sub) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged, and
+    # building it takes over a millisecond, a tenth of a small request.
     parser = argparse.ArgumentParser(
         prog="orthgen",
         description="Generators, verification, and decompositions for odd "

@@ -40,6 +40,7 @@ from .errors import (
     NotOrthogonal,
     NotTOShape,
     NotUnipotent,
+    OrthgenError,
     RingMismatch,
     UnsupportedRing,
 )
@@ -325,6 +326,13 @@ def tmt_decompose(alpha: Matrix, ctx: FormContext) -> TmtDecomposition:
     lines kills the paired entry for free, and positions already
     finished can never be repopulated.  The leftover core is monomial
     because its remaining lines are forced by orthogonality.
+
+    The input is not tested for orthogonality up front: every letter
+    applied is orthogonal, so alpha preserves the form exactly when the
+    core does, and mo_split certifies the core as an orthogonal
+    monomial.  Only when the elimination or that certificate fails is
+    the form test run, to tell a non-orthogonal input (NotOrthogonal)
+    from a failure of the elimination itself (re-raised).
     """
     _require_odd(ctx)
     R = alpha.ring
@@ -334,9 +342,21 @@ def tmt_decompose(alpha: Matrix, ctx: FormContext) -> TmtDecomposition:
         raise IndexOutOfRange("rank must be at least 3")
     if alpha.dim != ctx.dim:
         raise IndexOutOfRange(f"matrix must have size {ctx.dim}")
-    if not is_orthogonal(alpha, ctx):
-        raise NotOrthogonal("input does not preserve the form")
+    try:
+        beta, left_ops, right_ops = _peel_pairs(alpha, ctx)
+        mo_split(beta, ctx)
+    except OrthgenError:
+        if not is_orthogonal(alpha, ctx):
+            raise NotOrthogonal("input does not preserve the form") from None
+        raise
+    tau1 = Word(ctx, R, [op.inverse() for op in left_ops])
+    tau2 = Word(ctx, R, [op.inverse() for op in reversed(right_ops)])
+    return TmtDecomposition(tau1, beta, tau2)
 
+
+def _peel_pairs(alpha: Matrix, ctx: FormContext):
+    """tmt_decompose's elimination: (core, left letters, right letters)."""
+    R = alpha.ring
     n = ctx.n
     beta = alpha.copy()
     left_ops: list[GenLabel] = []
@@ -404,15 +424,16 @@ def tmt_decompose(alpha: Matrix, ctx: FormContext) -> TmtDecomposition:
         ):
             raise DecompositionError(f"pivot row for column {k} kept a stray entry")
         free.discard(m)
-
-    monomial_pattern(beta)  # forced; NotMonomial here means a logic error
-    tau1 = Word(ctx, R, [op.inverse() for op in left_ops])
-    tau2 = Word(ctx, R, [op.inverse() for op in reversed(right_ops)])
-    return TmtDecomposition(tau1, beta, tau2)
+    return beta, left_ops, right_ops
 
 
 def mo_split(mu: Matrix, ctx: FormContext):
-    """Split a monomial orthogonal matrix as permutation times diagonal."""
+    """Split a monomial orthogonal matrix as permutation times diagonal.
+
+    mu equals sigma * diag exactly when each v-column entry is the
+    inverse of its partner u-column entry, the only entries of diag not
+    read off mu itself, so that is all that is compared.
+    """
     _require_odd(ctx)
     R = mu.ring
     if mu.dim != ctx.dim:
@@ -423,8 +444,10 @@ def mo_split(mu: Matrix, ctx: FormContext):
     d0 = Scalar(R, mu.rows[pattern[0]][0])
     d = [Scalar(R, mu.rows[pattern[ctx.u(i)]][ctx.u(i)]) for i in range(1, ctx.n + 1)]
     diag = diag_orthogonal(ctx, d0, d)
-    if sigma @ diag != mu:
-        raise NotOrthogonal("monomial matrix is not orthogonal")
+    for i in range(1, ctx.n + 1):
+        vi = ctx.v(i)
+        if not R.eq(mu.rows[pattern[vi]][vi], diag.rows[vi][vi]):
+            raise NotOrthogonal("monomial matrix is not orthogonal")
     return sigma, diag
 
 

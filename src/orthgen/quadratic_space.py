@@ -337,17 +337,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix(self.ring, [list(col) for col in zip(*self.rows)], copy=False)
 
-    def is_identity(self) -> bool:
-        R = self.ring
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                if i == j:
-                    if not R.eq(a, R.one):
-                        return False
-                elif not R.is_zero(a):
-                    return False
-        return True
-
     def apply(self, v: Vector) -> Vector:
         R = self.ring
         if v.ring != R:
@@ -399,44 +388,6 @@ class Matrix:
             if not R.is_zero(s):
                 row[target] = R.mul(coeff, s)
 
-    def det(self) -> Scalar:
-        """Division-free determinant (Berkowitz), valid over any commutative ring."""
-        R = self.ring
-        d = self.dim
-        if d == 0:
-            return Scalar(R, R.one)
-        a = self.rows
-        # poly holds the characteristic polynomial of the leading principal
-        # block, highest coefficient first.
-        poly = [R.one, R.neg(a[0][0])]
-        for i in range(1, d):
-            row = a[i][:i]
-            col = [a[r][i] for r in range(i)]
-            s = [a[i][i]]
-            vec = col
-            for _ in range(i):
-                dot = R.zero
-                for x, y in zip(row, vec):
-                    dot = R.add(dot, R.mul(x, y))
-                s.append(dot)
-                vec = [
-                    _dotrow(R, a[r][:i], vec) for r in range(i)
-                ]
-            new = [R.zero] * (i + 2)
-            for q in range(i + 1):
-                pq = poly[q]
-                if R.is_zero(pq):
-                    continue
-                new[q] = R.add(new[q], pq)
-                for k, sk in enumerate(s):
-                    if q + 1 + k <= i + 1:
-                        new[q + 1 + k] = R.add(new[q + 1 + k], R.neg(R.mul(sk, pq)))
-            poly = new
-        val = poly[d]
-        if d % 2:
-            val = R.neg(val)
-        return Scalar(R, val)
-
     def to_json(self):
         R = self.ring
         return {
@@ -465,13 +416,6 @@ class Matrix:
                 raise JSONFormatError("entries must have dim columns per row")
             rows.append([ring.from_json(x) for x in r])
         return cls(ring, rows, copy=False)
-
-
-def _dotrow(R: Ring, xs, ys):
-    acc = R.zero
-    for x, y in zip(xs, ys):
-        acc = R.add(acc, R.mul(x, y))
-    return acc
 
 
 class FormContext:
@@ -554,10 +498,38 @@ class FormContext:
 def is_orthogonal(M: Matrix, ctx: FormContext) -> bool:
     """Does M preserve the bilinear form: M^T * gram * M == gram.
 
-    Tested as orthogonal_inverse(M) @ M == I, one product instead of
-    two; the two agree because gram is invertible when 2 is a unit.
+    Equivalently its columns pair like the basis, phi(col_i, col_j) ==
+    gram[i][j].  That pairing matrix is symmetric, so only i <= j is
+    tested: each column is shuffled once by the form (u and v swapped,
+    the center doubled, as in FormContext.tilde), its nonzero entries
+    are dotted with the columns up to it, and the first mismatch ends
+    the test.  No matrix is built and no product taken.
     """
-    return (orthogonal_inverse(M, ctx) @ M).is_identity()
+    R = M.ring
+    if M.dim != ctx.dim:
+        raise IndexOutOfRange(f"matrix dim {M.dim} does not match form dim {ctx.dim}")
+    add, mul, is_zero = R.add, R.mul, R.is_zero
+    zero, one, two = R.zero, R.one, R.from_int(2)
+    partner = [ctx.delta(k) for k in range(ctx.dim)]
+    cols = list(zip(*M.rows))
+    for j, col in enumerate(cols):
+        shuffled = []
+        for k, p in enumerate(partner):
+            a = col[p]
+            if not is_zero(a):
+                shuffled.append((k, add(a, a) if k == p else a))
+        pj = partner[j]
+        for i in range(j + 1):
+            other = cols[i]
+            acc = zero
+            for k, a in shuffled:
+                b = other[k]
+                if not is_zero(b):
+                    acc = add(acc, mul(a, b))
+            want = (two if i == j else one) if i == pj else zero
+            if not R.eq(acc, want):
+                return False
+    return True
 
 
 def orthogonal_inverse(M: Matrix, ctx: FormContext) -> Matrix:

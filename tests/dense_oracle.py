@@ -1,4 +1,9 @@
-"""Dense letter matrices, the oracle the sparse letter kernel is checked against."""
+"""Dense oracles kept for the tests.
+
+letter_matrix builds the matrix of one letter, the reference the sparse
+letter kernel is checked against; det is a division-free determinant
+that the tests use to check transvections and to test itself.
+"""
 
 from orthgen.generators import (
     F_FAMILIES,
@@ -9,6 +14,7 @@ from orthgen.generators import (
     perm_matrix,
     theta,
 )
+from orthgen.rings import Scalar
 
 
 def _invert_perm(pi) -> tuple:
@@ -41,3 +47,44 @@ def letter_matrix(ctx, ring, letter):
         for s in range(ctx.dim):
             out.rows[s][s] = ring.inv(out.rows[s][s])
     return out
+
+
+def _dotrow(R, xs, ys):
+    acc = R.zero
+    for x, y in zip(xs, ys):
+        acc = R.add(acc, R.mul(x, y))
+    return acc
+
+
+def det(m):
+    """Division-free determinant (Berkowitz), valid over any commutative ring."""
+    R = m.ring
+    d = m.dim
+    if d == 0:
+        return Scalar(R, R.one)
+    a = m.rows
+    # poly holds the characteristic polynomial of the leading principal
+    # block, highest coefficient first.
+    poly = [R.one, R.neg(a[0][0])]
+    for i in range(1, d):
+        row = a[i][:i]
+        col = [a[r][i] for r in range(i)]
+        s = [a[i][i]]
+        vec = col
+        for _ in range(i):
+            s.append(_dotrow(R, row, vec))
+            vec = [_dotrow(R, a[r][:i], vec) for r in range(i)]
+        new = [R.zero] * (i + 2)
+        for q in range(i + 1):
+            pq = poly[q]
+            if R.is_zero(pq):
+                continue
+            new[q] = R.add(new[q], pq)
+            for k, sk in enumerate(s):
+                if q + 1 + k <= i + 1:
+                    new[q + 1 + k] = R.add(new[q + 1 + k], R.neg(R.mul(sk, pq)))
+        poly = new
+    val = poly[d]
+    if d % 2:
+        val = R.neg(val)
+    return Scalar(R, val)

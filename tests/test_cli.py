@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import orthgen
+from orthgen import cli
 from orthgen.cli import main
 from orthgen.decompose import HorrocksInstance
 from orthgen.generators import GenLabel, Word, eval_word, gen_F, perm_matrix, random_word
@@ -256,9 +257,15 @@ def test_gen_rejects_out_of_range_and_bad_ring():
                     "--ring", "Q"])[0] == 2
 
 
-def test_decompose_domain_failures_exit_one():
+def test_decompose_domain_failures_exit_one(capsys):
     bad = canonical_json(_orth_bad().to_json())
     assert run_cli(["decompose", "--mode", "tmt"], bad)[0] == 1
+    capsys.readouterr()
+    # passes the elimination and fails only the core's certificate
+    swapped = Matrix.identity(F5, 7)
+    swapped.rows[1], swapped.rows[2] = swapped.rows[2], swapped.rows[1]
+    assert run_cli(["decompose", "--mode", "tmt"], canonical_json(swapped.to_json())) == (1, "")
+    assert capsys.readouterr().err == "error: input does not preserve the form\n"
     even = canonical_json(Matrix.identity(F5, 6).to_json())
     assert run_cli(["decompose", "--mode", "tmt"], even)[0] == 1
     not_uni = canonical_json(_mat(QQ, [[1, 2], [3, 1]]).to_json())
@@ -289,11 +296,11 @@ def test_verify_rejects_a_huge_modulus_with_exit_two():
     assert run_cli(["verify", "--what", "orthogonal"], blob) == (2, "")
 
 
-def _run_module(argv):
+def _run_module(argv, stdin_text=None):
     env = dict(os.environ)
     src = str(Path(orthgen.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "orthgen.cli", *argv],
+    return subprocess.run([sys.executable, "-m", "orthgen.cli", *argv], input=stdin_text,
                           capture_output=True, text=True, env=env, timeout=120)
 
 
@@ -304,6 +311,24 @@ def test_module_entry_point_runs_the_cli():
     assert proc.stdout == (GOLDEN / "gen_f3_q.out").read_text(encoding="utf-8")
     proc = _run_module(["gen", "--bogus"])
     assert proc.returncode == 2 and proc.stdout == ""
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    golden = next(case for case in CASES if case[0] == "decompose_tmt_check")
+    calls = [(["decompose", "--mode", "tmt", "--bogus"], None),
+             (golden[1], _stdin_for(golden[2])),
+             (["--help"], None)]
+    capsys.readouterr()
+    codes = []
+    for argv, stdin_text in calls:
+        code, out = run_cli(argv, stdin_text)
+        err = capsys.readouterr().err
+        fresh = _run_module(argv, stdin_text)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [2, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_verify_congruent_fails_with_exit_one():

@@ -321,7 +321,7 @@ def test_factor_to_rejects_wrong_shapes():
 def test_tmt_identity_and_monomial_short_circuit():
     dec = tmt_decompose(Matrix.identity(F5, 7), CTX3)
     assert dec.tau1.letters == () and dec.tau2.letters == ()
-    assert dec.mu.is_identity()
+    assert dec.mu == Matrix.identity(F5, 7)
     rng = random.Random(105)
     mono = _random_monomial(CTX3, F5, rng)
     dec = tmt_decompose(mono, CTX3)
@@ -356,6 +356,36 @@ def test_tmt_rejects_bad_inputs():
         tmt_decompose(Matrix.identity(F5, 9), CTX3)
 
 
+def _non_orthogonal_shapes(ctx, ring, rng):
+    """Five ways to miss the form, each reaching a different check."""
+    u1, v1, u2 = ctx.u(1), ctx.v(1), ctx.u(2)
+    bent = eval_word(random_word(ctx, ring, rng, 4 * ctx.n)) @ _random_monomial(ctx, ring, rng)
+    r, c = rng.randrange(ctx.dim), rng.randrange(ctx.dim)
+    bent.rows[r][c] = ring.add(bent.rows[r][c], ring.one)
+    dense = Matrix(ring, [[ring.sample(rng) for _ in range(ctx.dim)] for _ in range(ctx.dim)])
+    d = [_s(ring, 2)] + [_s(ring, 1)] * (ctx.n - 1)
+    uv_mismatch = diag_orthogonal(ctx, _s(ring, 1), d)
+    uv_mismatch.rows[v1][v1] = ring.from_int(2)
+    center_two = Matrix.identity(ring, ctx.dim)
+    center_two.rows[0][0] = ring.from_int(2)
+    swapped = Matrix.identity(ring, ctx.dim)  # u1 <-> u2 without v1 <-> v2
+    swapped.rows[u1], swapped.rows[u2] = swapped.rows[u2], swapped.rows[u1]
+    return {"bent entry": bent, "dense": dense, "u/v diagonal mismatch": uv_mismatch,
+            "center 2": center_two, "non-delta-commuting permutation": swapped}
+
+
+@pytest.mark.parametrize("ring", [F5, QQ], ids=["Fp:5", "Q"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_tmt_certificate_rejects_non_orthogonal_input(ring, n):
+    ctx = FormContext(n)
+    rng = random.Random(f"{ring.descriptor}:{n}")
+    for shape, alpha in _non_orthogonal_shapes(ctx, ring, rng).items():
+        gram = ctx.gram(ring)
+        assert alpha.transpose() @ gram @ alpha != gram, shape
+        with pytest.raises(NotOrthogonal, match="^input does not preserve the form$"):
+            tmt_decompose(alpha, ctx)
+
+
 def test_tmt_json_round_trip_and_tower_check():
     rng = random.Random(107)
     alpha = eval_word(random_word(CTX3, F5, rng, 12)) @ _random_monomial(CTX3, F5, rng)
@@ -383,10 +413,10 @@ def test_tmt_json_round_trip_and_tower_check():
 def test_mo_split_diagonal_and_permutation_parts():
     d = diag_orthogonal(CTX3, _s(F5, -1), [_s(F5, 2), _s(F5, 3), _s(F5, 1)])
     sig, core = mo_split(d, CTX3)
-    assert sig.is_identity() and core == d
+    assert sig == Matrix.identity(F5, 7) and core == d
     p = perm_matrix(CTX3, F5, (1, 3, 2, 4, 6, 5, 7))
     sig, core = mo_split(p, CTX3)
-    assert sig == p and core.is_identity()
+    assert sig == p and core == Matrix.identity(F5, 7)
 
 
 def test_mo_split_random_recompose():
@@ -477,11 +507,11 @@ def test_lift_mod_rejections():
 def test_local_identity_and_congruent_input():
     dec = local_decompose(Matrix.identity(Z9, 7), CTX3)
     assert dec.tau1.letters == () and dec.tau2.letters == ()
-    assert dec.mu.is_identity() and dec.residual.is_identity()
+    assert dec.mu == dec.residual == Matrix.identity(Z9, 7)
     alpha = gen_F(CTX3, "F1", 1, None, _s(Z9, 3))
     dec = local_decompose(alpha, CTX3)
     assert dec.tau1.letters == () and dec.tau2.letters == ()
-    assert dec.mu.is_identity() and dec.residual == alpha
+    assert dec.mu == Matrix.identity(Z9, 7) and dec.residual == alpha
 
 
 def test_local_random_round_trip():
@@ -494,7 +524,7 @@ def test_local_random_round_trip():
             assert dec.recompose() == alpha
             assert is_orthogonal(dec.residual, CTX3)
             assert matrices_congruent(dec.residual, Matrix.identity(ring, 7), MAX)
-            assert matrix_residue(dec.residual).is_identity()
+            assert matrix_residue(dec.residual) == Matrix.identity(residue_ring(ring), 7)
 
 
 def test_local_json_round_trip():
@@ -532,7 +562,7 @@ def _poly_letters():
 
 def test_theta_identity_and_matrix_word_agreement():
     conj, flag = theta_conjugate(Matrix.identity(PQ, 7), 1, CTX3)
-    assert conj.is_identity() and flag
+    assert conj == Matrix.identity(LQ, 7) and flag
     w = Word(CTX3, PQ, _poly_letters())
     conj_w, flag_w = theta_conjugate(w, 1, CTX3)
     conj_m, flag_m = theta_conjugate(eval_word(w), 1, CTX3)

@@ -3,17 +3,19 @@
 apply_letter must give exactly letter_matrix(...) @ M on the left and
 M @ letter_matrix(...) on the right, for every letter family, both
 exponents and every ring kind, and must refuse the letters the dense
-path refuses with the same error class.  A counting guard keeps dense
-products out of word evaluation and the field decomposition.
+path refuses with the same error class.  The product-free form test
+is_orthogonal is checked against M^T * gram * M == gram.  A counting
+guard keeps dense products and form tests out of word evaluation and
+the field decomposition.
 """
 
 import random
 
 import pytest
 
-from orthgen import generators
+from orthgen import decompose, generators
 from orthgen.decompose import tmt_decompose
-from orthgen.errors import OrthgenError
+from orthgen.errors import IndexOutOfRange, OrthgenError
 from orthgen.generators import (
     F_FAMILIES,
     GenLabel,
@@ -167,27 +169,68 @@ def _two_products(m, ctx):
     return m.transpose() @ gram @ m == gram
 
 
+def _position_classes(ctx):
+    """Every (row, column) of ctx's matrices, sorted by how the form pairs them."""
+    d = ctx.dim
+    classes = {"diagonal": [], "partner": [], "off-pair": []}
+    if ctx.odd:
+        classes["center row"] = [(0, c) for c in range(1, d)]
+        classes["center column"] = [(r, 0) for r in range(1, d)]
+    for r in range(1 if ctx.odd else 0, d):
+        for c in range(1 if ctx.odd else 0, d):
+            if r == c:
+                classes["diagonal"].append((r, c))
+            elif c == ctx.delta(r):
+                classes["partner"].append((r, c))
+            else:
+                classes["off-pair"].append((r, c))
+    if ctx.odd:
+        classes["diagonal"].append((0, 0))
+    return classes
+
+
+def _first_mismatch_cases(ring, ctx):
+    """Bent identities whose first failing pairing wants 0, 1 and (odd) 2."""
+    u1, v1, u2, v2 = ctx.u(1), ctx.v(1), ctx.u(2), ctx.v(2)
+    cases = []
+    for r, c in ((v1, v1), (u1, v1), (v2, u1)) + (((0, 0),) if ctx.odd else ()):
+        m = Matrix.identity(ring, ctx.dim)
+        m.rows[r][c] = ring.add(m.rows[r][c], ring.one)
+        cases.append(m)
+    return cases
+
+
 @pytest.mark.parametrize("desc", RINGS)
 def test_is_orthogonal_agrees_with_the_gram_test(desc):
     ring = ring_from_string(desc)
     rng = random.Random(desc)
-    seen = set()
     for ctx in (ODD, EVEN):
-        for _ in range(6):
-            if ctx.odd:
-                m = eval_word(random_word(ctx, ring, rng, 6))
-            else:
-                m = eval_word(Word(ctx, ring, [GenLabel("OE", 1, 5, _scalar(ring, rng)),
-                                               GenLabel("OE", 6, 2, _scalar(ring, rng))]))
-            m = m @ perm_matrix(ctx, ring, random_perm(ctx, rng))
-            bent = m.copy()
-            r, c = rng.randrange(ctx.dim), rng.randrange(ctx.dim)
-            bent.rows[r][c] = ring.add(bent.rows[r][c], ring.one)
-            for cand in (m, bent, _random_dense(ring, ctx.dim, rng)):
-                verdict = is_orthogonal(cand, ctx)
-                assert verdict == _two_products(cand, ctx)
-                seen.add(verdict)
-    assert seen == {True, False}
+        seen = set()
+
+        def agree(cand):
+            verdict = is_orthogonal(cand, ctx)
+            assert verdict == _two_products(cand, ctx)
+            seen.add(verdict)
+
+        for cand in _first_mismatch_cases(ring, ctx):
+            agree(cand)
+        for positions in _position_classes(ctx).values():
+            for _ in range(3):
+                if ctx.odd:
+                    m = eval_word(random_word(ctx, ring, rng, 6))
+                else:
+                    m = eval_word(Word(ctx, ring, [GenLabel("OE", 1, 5, _scalar(ring, rng)),
+                                                   GenLabel("OE", 6, 2, _scalar(ring, rng))]))
+                m = m @ perm_matrix(ctx, ring, random_perm(ctx, rng))
+                bent = m.copy()
+                r, c = rng.choice(positions)
+                bent.rows[r][c] = ring.add(bent.rows[r][c], ring.sample_unit(rng))
+                for cand in (m, bent, _random_dense(ring, ctx.dim, rng)):
+                    agree(cand)
+        assert seen == {True, False}
+        for dim in (ctx.dim - 1, ctx.dim + 1):
+            with pytest.raises(IndexOutOfRange):
+                is_orthogonal(Matrix.identity(ring, dim), ctx)
 
 
 def _count_matmuls(monkeypatch):
@@ -210,9 +253,17 @@ def test_letters_never_take_a_dense_product(monkeypatch):
     alpha = eval_word(word) @ perm_matrix(ctx, F5, random_perm(ctx, rng))
 
     calls = _count_matmuls(monkeypatch)
+    form_tests = [0]
+
+    def counted_is_orthogonal(m, c):
+        form_tests[0] += 1
+        return is_orthogonal(m, c)
+
+    monkeypatch.setattr(decompose, "is_orthogonal", counted_is_orthogonal)
     eval_word(word)
     assert calls[0] == 0
     dec = tmt_decompose(alpha, ctx)
-    assert calls[0] == 1  # its is_orthogonal
+    assert calls[0] == 0
+    assert form_tests[0] == 0  # orthogonal input is certified by mo_split
     assert dec.recompose() == alpha
-    assert calls[0] == 1
+    assert calls[0] == 0

@@ -36,6 +36,8 @@ from orthgen.transvections import (
     transvection_split3,
 )
 
+from dense_oracle import det
+
 QQ = RationalField()
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -121,7 +123,7 @@ def test_transvection_is_orthogonal_with_unit_determinant():
             x = Scalar(ring, ring.sample(rng))
             m = transvection_matrix(CTX3, v, w, x)
             assert is_orthogonal(m, CTX3)
-            assert m.det() == 1
+            assert det(m) == 1
             assert orthogonal_inverse(m, CTX3) == transvection_matrix(CTX3, v, w, -x)
 
 
