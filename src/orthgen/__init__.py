@@ -61,7 +61,6 @@ from .decompose import (
     factor_alt,
     factor_to,
     factor_unipotent,
-    lift_mod,
     local_decompose,
     mo_split,
     theta_conjugate,
@@ -104,7 +103,6 @@ __all__ = [
     "gen_F",
     "gen_oe",
     "is_orthogonal",
-    "lift_mod",
     "local_decompose",
     "matrices_congruent",
     "mo_split",

@@ -17,9 +17,9 @@ taken outermost first), alternating blocks to F4 or F5 words over the
 upper triangle, and the block-triangular shapes combine the two.
 
 Over a local scalar ring, local_decompose reduces mod the maximal
-ideal, decomposes the residue, lifts the letters canonically, and
-certifies the remaining factor as orthogonal and congruent to the
-identity.  The Laurent-ring operations (theta conjugation and the
+ideal, decomposes the residue, lifts the letters (the monomial core
+among them, as PERM and DIAG letters) canonically, and certifies the
+remaining factor as orthogonal and congruent to the identity.  The Laurent-ring operations (theta conjugation and the
 certificate checker) close the loop for polynomial matrices.
 """
 
@@ -27,16 +27,12 @@ from __future__ import annotations
 
 from .errors import (
     BadIndex,
-    BadSign,
     DecompositionError,
     HypothesisViolated,
     IndexOutOfRange,
     JSONFormatError,
     NonElementaryLetter,
-    NotAUnit,
-    NotAUnitResidue,
     NotAlternating,
-    NotMonomial,
     NotOrthogonal,
     NotTOShape,
     NotUnipotent,
@@ -48,11 +44,11 @@ from .generators import (
     F_FAMILIES,
     GenLabel,
     Word,
+    _check_perm,
+    _diag_entries,
     apply_letter,
     apply_word,
-    diag_orthogonal,
     eval_word,
-    perm_matrix,
     theta,
     word_from_json,
     word_to_json,
@@ -65,7 +61,6 @@ from .quadratic_space import (
     matrices_congruent,
     matrix_residue,
     monomial_pattern,
-    orthogonal_inverse,
     split_blocks,
     unitriangular_inverse,
 )
@@ -90,7 +85,6 @@ __all__ = [
     "factor_to",
     "tmt_decompose",
     "mo_split",
-    "lift_mod",
     "local_decompose",
     "theta_conjugate",
     "check_horrocks_instance",
@@ -172,10 +166,9 @@ class LocalDecomposition:
         self.residual = residual
 
     def recompose(self) -> Matrix:
+        core = mo_split(self.mu, self.tau1.ctx)
         out = self.residual.copy()
-        apply_word(out, self.tau2, left=True)
-        out = self.mu @ out
-        apply_word(out, self.tau1, left=True)
+        apply_word(out, self.tau1 * core * self.tau2, left=True)
         return out
 
     def to_json(self) -> dict:
@@ -427,8 +420,8 @@ def _peel_pairs(alpha: Matrix, ctx: FormContext):
     return beta, left_ops, right_ops
 
 
-def mo_split(mu: Matrix, ctx: FormContext):
-    """Split a monomial orthogonal matrix as permutation times diagonal.
+def mo_split(mu: Matrix, ctx: FormContext) -> Word:
+    """Split a monomial orthogonal matrix as a PERM letter times a DIAG letter.
 
     mu equals sigma * diag exactly when each v-column entry is the
     inverse of its partner u-column entry, the only entries of diag not
@@ -439,110 +432,59 @@ def mo_split(mu: Matrix, ctx: FormContext):
     if mu.dim != ctx.dim:
         raise IndexOutOfRange(f"matrix must have size {ctx.dim}")
     pattern = monomial_pattern(mu)
-    image = tuple(pattern[s] + 1 for s in range(ctx.dim))
-    sigma = perm_matrix(ctx, R, image)
+    image = _check_perm(ctx, [pattern[s] + 1 for s in range(ctx.dim)])
     d0 = Scalar(R, mu.rows[pattern[0]][0])
-    d = [Scalar(R, mu.rows[pattern[ctx.u(i)]][ctx.u(i)]) for i in range(1, ctx.n + 1)]
-    diag = diag_orthogonal(ctx, d0, d)
+    d = tuple(Scalar(R, mu.rows[pattern[ctx.u(i)]][ctx.u(i)]) for i in range(1, ctx.n + 1))
+    entries = _diag_entries(ctx, d0, d)
     for i in range(1, ctx.n + 1):
         vi = ctx.v(i)
-        if not R.eq(mu.rows[pattern[vi]][vi], diag.rows[vi][vi]):
+        if not R.eq(mu.rows[pattern[vi]][vi], entries[vi]):
             raise NotOrthogonal("monomial matrix is not orthogonal")
-    return sigma, diag
+    return Word(ctx, R, [GenLabel("PERM", param=image), GenLabel("DIAG", param=(d0, d))])
 
 
 # --- lifting along a local ring's reduction ---------------------------------
 
 
 def _lift_word(word: Word, ring: Ring) -> Word:
-    S = residue_ring(ring)
-    if word.ring != S:
-        raise RingMismatch(f"word ring {word.ring.descriptor} is not the residue of {ring.descriptor}")
-    _validate_tower_word(word)
+    """Canonical preimage over a local ring of a residue-field word.
+
+    F letters lift their parameter, except that F2's half maps to the
+    half upstairs; a PERM image is kept; a DIAG lifts entry by entry,
+    its center going to +1 or -1.  The words come from tmt_decompose
+    and mo_split, which have certified them over the residue field, so
+    the center is +1 or -1 there and every lifted diagonal entry is a
+    unit of the local ring.
+    """
+    S = word.ring
     half_s = Scalar(S, S.half)
     letters = []
     for letter in word.letters:
-        if letter.family == "F2" and letter.param == half_s:
-            z = Scalar(ring, ring.half)
+        fam = letter.family
+        if fam == "PERM":
+            letters.append(letter)
+        elif fam == "DIAG":
+            d0, d = letter.param
+            center = ring.one if S.eq(d0.payload, S.one) else ring.neg(ring.one)
+            param = (Scalar(ring, center), tuple(lift_scalar(ring, x) for x in d))
+            letters.append(GenLabel(fam, param=param, exp=letter.exp))
         else:
-            z = lift_scalar(ring, letter.param)
-        letters.append(GenLabel(letter.family, letter.i, letter.j, z, letter.exp))
+            if fam == "F2" and letter.param == half_s:
+                z = Scalar(ring, ring.half)
+            else:
+                z = lift_scalar(ring, letter.param)
+            letters.append(GenLabel(fam, letter.i, letter.j, z, letter.exp))
     return Word(word.ctx, ring, letters)
-
-
-def _lift_perm(m: Matrix, ring: Ring, ctx: FormContext) -> Matrix:
-    S = m.ring
-    pattern = monomial_pattern(m)
-    for j in range(m.dim):
-        if not S.eq(m.rows[pattern[j]][j], S.one):
-            raise NotMonomial("permutation entries must be 1")
-    image = tuple(pattern[s] + 1 for s in range(m.dim))
-    return perm_matrix(ctx, ring, image)
-
-
-def _lift_diag(m: Matrix, ring: Ring, ctx: FormContext) -> Matrix:
-    S = m.ring
-    for i in range(m.dim):
-        for j in range(m.dim):
-            if i != j and not S.is_zero(m.rows[i][j]):
-                raise NotMonomial("matrix is not diagonal")
-    d0_res = m.rows[0][0]
-    if S.eq(d0_res, S.one):
-        d0 = Scalar(ring, ring.one)
-    elif S.eq(d0_res, S.neg(S.one)):
-        d0 = Scalar(ring, ring.neg(ring.one))
-    else:
-        raise BadSign("center entry of a diagonal must be +1 or -1")
-    d = []
-    for i in range(1, ctx.n + 1):
-        lifted = lift_scalar(ring, Scalar(S, m.rows[ctx.u(i)][ctx.u(i)]))
-        try:
-            ring.inv(lifted.payload)
-        except NotAUnit as exc:
-            raise NotAUnitResidue(f"diagonal entry {i} does not lift to a unit") from exc
-        d.append(lifted)
-    return diag_orthogonal(ctx, d0, d)
-
-
-def lift_mod(x, kind: str, ring: Ring, ideal: IdealDescriptor):
-    """Canonical preimage over ring of a residue-level word or matrix.
-
-    kind selects the shape: "to-word" lifts letters (F2's half maps to
-    the half upstairs), "perm" and "diag" lift matrices by pattern and
-    entries, "monomial" splits first and lifts both parts.
-    """
-    if ideal.kind != "max":
-        raise UnsupportedRing("lifting is along the maximal ideal")
-    ideal.validate_for(ring)
-    if kind == "to-word":
-        if not isinstance(x, Word):
-            raise BadIndex("kind 'to-word' expects a Word")
-        return _lift_word(x, ring)
-    if not isinstance(x, Matrix):
-        raise BadIndex(f"kind {kind!r} expects a Matrix")
-    if x.ring != residue_ring(ring):
-        raise RingMismatch(f"matrix ring {x.ring.descriptor} is not the residue of {ring.descriptor}")
-    if x.dim % 2 == 0:
-        raise IndexOutOfRange("odd-space matrix expected")
-    ctx = FormContext((x.dim - 1) // 2)
-    if kind == "perm":
-        return _lift_perm(x, ring, ctx)
-    if kind == "diag":
-        return _lift_diag(x, ring, ctx)
-    if kind == "monomial":
-        sigma, diag = mo_split(x, ctx)
-        return _lift_perm(sigma, ring, ctx) @ _lift_diag(diag, ring, ctx)
-    raise BadIndex(f"unknown lift kind {kind!r}")
 
 
 def local_decompose(alpha: Matrix, ctx: FormContext) -> LocalDecomposition:
     """Decompose over a local scalar ring up to a congruence-one residual.
 
     Reduces mod the maximal ideal, decomposes the residue over the
-    field, lifts the words and the core canonically, and returns the
-    quotient of alpha by the lifted product as the residual factor.
-    The lifted product is orthogonal, so the quotient is built by
-    applying the inverse letters and the form inverse of the core.
+    field, lifts the words and the core (as PERM and DIAG letters)
+    canonically, and returns the quotient of alpha by the lifted
+    product as the residual factor.  Every lifted letter is orthogonal,
+    so the quotient is built by applying the inverse letters.
     """
     R = alpha.ring
     residue_ring(R)  # UnsupportedRing for non-local scalar rings
@@ -550,20 +492,17 @@ def local_decompose(alpha: Matrix, ctx: FormContext) -> LocalDecomposition:
         raise IndexOutOfRange(f"matrix must have size {ctx.dim}")
     if not is_orthogonal(alpha, ctx):
         raise NotOrthogonal("input does not preserve the form")
-    ideal = IdealDescriptor("max")
     reduced = tmt_decompose(matrix_residue(alpha), ctx)
-    tau1 = lift_mod(reduced.tau1, "to-word", R, ideal)
-    tau2 = lift_mod(reduced.tau2, "to-word", R, ideal)
-    mu = lift_mod(reduced.mu, "monomial", R, ideal)
+    tau1 = _lift_word(reduced.tau1, R)
+    core = _lift_word(mo_split(reduced.mu, ctx), R)
+    tau2 = _lift_word(reduced.tau2, R)
     residual = alpha.copy()
-    apply_word(residual, tau1.inverse(), left=True)
-    residual = orthogonal_inverse(mu, ctx) @ residual
-    apply_word(residual, tau2.inverse(), left=True)
+    apply_word(residual, (tau1 * core * tau2).inverse(), left=True)
     if not is_orthogonal(residual, ctx):
         raise DecompositionError("residual lost orthogonality")
-    if not matrices_congruent(residual, Matrix.identity(R, ctx.dim), ideal):
+    if not matrices_congruent(residual, Matrix.identity(R, ctx.dim), IdealDescriptor("max")):
         raise DecompositionError("residual is not congruent to the identity")
-    return LocalDecomposition(tau1, mu, tau2, residual)
+    return LocalDecomposition(tau1, eval_word(core), tau2, residual)
 
 
 # --- Laurent-ring operations -------------------------------------------------
@@ -662,9 +601,9 @@ class HorrocksInstance:
     """A polynomial matrix, a negative-power one, and the witness between.
 
     alpha lives over R[X], beta over the Laurent ring (checked later to
-    use only nonpositive powers), and the witness word multiplies out to
-    alpha * beta^-1.  An optional claim (alpha0, word) asserts alpha =
-    alpha0 * eval(word) with alpha0 constant.
+    use only nonpositive powers), and the witness word satisfies
+    eval(witness) * beta = alpha.  An optional claim (alpha0, word)
+    asserts alpha = alpha0 * eval(word) with alpha0 constant.
     """
 
     __slots__ = ("alpha", "beta", "witness", "claim")
@@ -731,21 +670,23 @@ def check_horrocks_instance(inst: HorrocksInstance, claim=None) -> dict:
     """Verify a splitting certificate and report each check separately.
 
     The verdict records orthogonality of both matrices, that beta uses
-    only nonpositive powers, and that the witness multiplies out to
-    alpha * beta^-1 over the Laurent ring; with a claim it additionally
-    checks that the constant part is orthogonal and recomposes alpha.
-    Accepts exactly when every recorded check passes.
+    only nonpositive powers, and that eval(witness) * beta = alpha over
+    the Laurent ring, decided by applying the witness letters to beta as
+    row operations; for an orthogonal beta that is alpha * beta^-1 =
+    eval(witness).  With a claim it additionally checks that the
+    constant part is orthogonal and recomposes alpha.  Accepts exactly
+    when every recorded check passes.
     """
     if claim is None:
         claim = inst.claim
     ctx = inst.witness.ctx
+    witnessed = inst.beta.copy()
+    apply_word(witnessed, inst.witness, left=True)
     verdict = {
         "alpha_orthogonal": is_orthogonal(inst.alpha, ctx),
         "beta_orthogonal": is_orthogonal(inst.beta, ctx),
         "beta_negative_powers": _entry_bounds_ok(inst.beta, low=False),
-        "quotient_elementary": _laurent_matrix(inst.alpha)
-        @ orthogonal_inverse(inst.beta, ctx)
-        == eval_word(inst.witness),
+        "quotient_elementary": witnessed == _laurent_matrix(inst.alpha),
     }
     if claim is not None:
         alpha0, word = claim

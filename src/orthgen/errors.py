@@ -69,10 +69,6 @@ class NotMonomial(OrthgenError):
     """Matrix is not monomial (one nonzero entry per row and column)."""
 
 
-class NotAUnitResidue(OrthgenError):
-    """Diagonal lift requires unit residues."""
-
-
 class NonElementaryLetter(OrthgenError):
     """Witness words admit elementary generator letters only."""
 

@@ -9,11 +9,12 @@ from orthgen.decompose import (
     HorrocksInstance,
     LocalDecomposition,
     TmtDecomposition,
+    _constant_matrix_over,
     check_horrocks_instance,
     factor_alt,
     factor_to,
     factor_unipotent,
-    lift_mod,
+    _lift_word,
     local_decompose,
     mo_split,
     theta_conjugate,
@@ -53,6 +54,7 @@ from orthgen.quadratic_space import (
     matrix_residue,
     monomial_pattern,
     one_perp,
+    orthogonal_inverse,
     unitriangular_inverse,
 )
 from orthgen.rings import (
@@ -412,21 +414,28 @@ def test_tmt_json_round_trip_and_tower_check():
 
 def test_mo_split_diagonal_and_permutation_parts():
     d = diag_orthogonal(CTX3, _s(F5, -1), [_s(F5, 2), _s(F5, 3), _s(F5, 1)])
-    sig, core = mo_split(d, CTX3)
-    assert sig == Matrix.identity(F5, 7) and core == d
+    core = mo_split(d, CTX3)
+    assert core.letters == (
+        GenLabel("PERM", param=(1, 2, 3, 4, 5, 6, 7)),
+        GenLabel("DIAG", param=(_s(F5, -1), (_s(F5, 2), _s(F5, 3), _s(F5, 1)))),
+    )
+    assert eval_word(core) == d
     p = perm_matrix(CTX3, F5, (1, 3, 2, 4, 6, 5, 7))
-    sig, core = mo_split(p, CTX3)
-    assert sig == p and core == Matrix.identity(F5, 7)
+    core = mo_split(p, CTX3)
+    assert core.letters == (
+        GenLabel("PERM", param=(1, 3, 2, 4, 6, 5, 7)),
+        GenLabel("DIAG", param=(_s(F5, 1), (_s(F5, 1),) * 3)),
+    )
+    assert eval_word(core) == p
 
 
 def test_mo_split_random_recompose():
     rng = random.Random(108)
     for _ in range(20):
         mono = _random_monomial(CTX3, F5, rng)
-        sig, core = mo_split(mono, CTX3)
-        assert sig @ core == mono
-        monomial_pattern(sig)
-        assert is_orthogonal(core, CTX3)
+        core = mo_split(mono, CTX3)
+        assert [l.family for l in core.letters] == ["PERM", "DIAG"]
+        assert eval_word(core) == mono
 
 
 def test_mo_split_rejections():
@@ -444,7 +453,7 @@ def test_mo_split_rejections():
         mo_split(broken, CTX3)
 
 
-# --- lift_mod -----------------------------------------------------------------
+# --- lifting words -------------------------------------------------------------
 
 
 def test_lift_word_parameters_and_residue():
@@ -454,7 +463,7 @@ def test_lift_word_parameters_and_residue():
         GenLabel("F3", 1, 2, _s(F3, 1)),
         GenLabel("F4", 2, 3, _s(F3, 2)),
     ])
-    lifted = lift_mod(w, "to-word", Z9, MAX)
+    lifted = _lift_word(w, Z9)
     assert lifted.ring == Z9
     assert [(l.family, l.param.payload, l.exp) for l in lifted.letters] == [
         ("F1", 2, 1), ("F2", 5, -1), ("F3", 1, 1), ("F4", 2, 1),
@@ -464,41 +473,33 @@ def test_lift_word_parameters_and_residue():
 
 def test_lift_perm_and_diag():
     rng = random.Random(109)
-    p = perm_matrix(CTX3, F3, random_perm(CTX3, rng))
-    lifted = lift_mod(p, "perm", Z9, MAX)
-    assert lifted.ring == Z9 and matrix_residue(lifted) == p
-    d = diag_orthogonal(CTX3, _s(F5, -1), [_s(F5, 2), _s(F5, 3), _s(F5, 1)])
-    lifted = lift_mod(d, "diag", Z25, MAX)
-    assert [lifted[(k, k)].payload for k in range(7)] == [24, 2, 3, 1, 13, 17, 1]
-    assert is_orthogonal(lifted, CTX3)
+    image = random_perm(CTX3, rng)
+    for exp in (1, -1):
+        w = Word(CTX3, F3, [GenLabel("PERM", param=image, exp=exp)])
+        lifted = _lift_word(w, Z9)
+        assert lifted.ring == Z9 and lifted.letters[0].param == image
+        assert matrix_residue(eval_word(lifted)) == eval_word(w)
+    d0, d = _s(F5, -1), (_s(F5, 2), _s(F5, 3), _s(F5, 1))
+    lifted = _lift_word(Word(CTX3, F5, [GenLabel("DIAG", param=(d0, d))]), Z25)
+    m = eval_word(lifted)
+    assert [m[(k, k)].payload for k in range(7)] == [24, 2, 3, 1, 13, 17, 1]
+    assert is_orthogonal(m, CTX3)
+    inverse = _lift_word(Word(CTX3, F5, [GenLabel("DIAG", param=(d0, d), exp=-1)]), Z25)
+    assert eval_word(inverse) @ m == Matrix.identity(Z25, 7)
 
 
 def test_lift_monomial_round_trip():
     rng = random.Random(110)
     for _ in range(10):
         mono = _random_monomial(CTX3, F3, rng)
-        lifted = lift_mod(mono, "monomial", Z9, MAX)
+        lifted = eval_word(_lift_word(mo_split(mono, CTX3), Z9))
         assert matrix_residue(lifted) == mono
         assert is_orthogonal(lifted, CTX3)
     tr = TruncatedRing(PrimeField(3), 3)
     mono = _random_monomial(CTX3, F3, rng)
-    lifted = lift_mod(mono, "monomial", tr, MAX)
+    lifted = eval_word(_lift_word(mo_split(mono, CTX3), tr))
     assert matrix_residue(lifted) == mono
-
-
-def test_lift_mod_rejections():
-    w = Word(CTX3, F3, [GenLabel("F1", 1, None, _s(F3, 1))])
-    with pytest.raises(UnsupportedRing):
-        lift_mod(w, "to-word", Z9, IdealDescriptor("zero"))
-    with pytest.raises(BadIndex):
-        lift_mod(w, "words", Z9, MAX)
-    with pytest.raises(BadIndex):
-        lift_mod(Matrix.identity(F3, 7), "to-word", Z9, MAX)
-    with pytest.raises(RingMismatch):
-        lift_mod(Word(CTX3, F5, [GenLabel("F1", 1, None, _s(F5, 1))]), "to-word", Z9, MAX)
-    bad_center = Matrix.identity(F5, 7).scale(_s(F5, 2))
-    with pytest.raises(BadSign):
-        lift_mod(bad_center, "diag", Z25, MAX)
+    assert is_orthogonal(lifted, CTX3)
 
 
 # --- local_decompose ----------------------------------------------------------
@@ -536,6 +537,17 @@ def test_local_json_round_trip():
     assert back.recompose() == alpha
     with pytest.raises(JSONFormatError):
         LocalDecomposition.from_json({"tau1": None, "mu": None})
+
+
+def test_local_recompose_rejects_a_non_monomial_core():
+    rng = random.Random(113)
+    alpha = eval_word(random_word(CTX3, Z9, rng, 6)) @ _random_monomial(CTX3, Z9, rng)
+    dec = local_decompose(alpha, CTX3)
+    dense = dec.mu.copy()
+    dense.rows[0][1] = Z9.one
+    record = LocalDecomposition(dec.tau1, dense, dec.tau2, dec.residual)
+    with pytest.raises(NotMonomial):
+        record.recompose()
 
 
 def test_local_rejections():
@@ -704,6 +716,22 @@ def test_horrocks_negative_power_splitting():
     verdict = check_horrocks_instance(HorrocksInstance(alpha, beta_bad, witness))
     assert not verdict["beta_negative_powers"]
     assert not verdict["accepted"]
+
+
+def test_horrocks_bent_beta_is_judged_by_the_division_free_equation():
+    # For a non-orthogonal beta the form adjoint is not beta^-1, so
+    # quotient_elementary reads eval(witness) * beta = alpha literally;
+    # accepted still needs beta to be orthogonal.
+    wp = Word(CTX3, PQ, _poly_letters())
+    bent = Matrix.identity(QQ, 7)
+    bent.rows[1][2] = QQ.one
+    beta = Matrix(LQ, [[LQ.make(0, [a]) for a in row] for row in bent.rows])
+    alpha = eval_word(wp) @ _constant_matrix_over(bent, PQ)
+    verdict = check_horrocks_instance(HorrocksInstance(alpha, beta, _laurent_word(wp)))
+    assert not verdict["beta_orthogonal"]
+    assert verdict["quotient_elementary"]
+    assert not verdict["accepted"]
+    assert orthogonal_inverse(beta, CTX3) @ beta != Matrix.identity(LQ, 7)
 
 
 def test_horrocks_claim_failure_modes():

@@ -5,8 +5,11 @@ M @ letter_matrix(...) on the right, for every letter family, both
 exponents and every ring kind, and must refuse the letters the dense
 path refuses with the same error class.  The product-free form test
 is_orthogonal is checked against M^T * gram * M == gram.  A counting
-guard keeps dense products and form tests out of word evaluation and
-the field decomposition.
+guard keeps dense products out of word evaluation, both decompositions,
+their recomposition and the certificate check, and form tests out of
+the field decomposition.  The local decomposition, which carries its
+monomial core as PERM and DIAG letters, is checked against the dense
+formulas for its residual and its recomposition.
 """
 
 import random
@@ -14,7 +17,12 @@ import random
 import pytest
 
 from orthgen import decompose, generators
-from orthgen.decompose import tmt_decompose
+from orthgen.decompose import (
+    HorrocksInstance,
+    check_horrocks_instance,
+    local_decompose,
+    tmt_decompose,
+)
 from orthgen.errors import IndexOutOfRange, OrthgenError
 from orthgen.generators import (
     F_FAMILIES,
@@ -26,8 +34,8 @@ from orthgen.generators import (
     perm_matrix,
     random_word,
 )
-from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal
-from orthgen.rings import LaurentRing, PolynomialRing, Scalar, ring_from_string
+from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal, orthogonal_inverse
+from orthgen.rings import LaurentRing, PolynomialRing, Scalar, laurent_of_poly, ring_from_string
 
 from dense_oracle import letter_matrix
 from sampling import random_perm
@@ -245,12 +253,35 @@ def _count_matmuls(monkeypatch):
     return calls
 
 
+def _local_input(ctx, ring, rng, letters):
+    """A random F-word times a random monomial, evaluated letter by letter."""
+    d0 = Scalar(ring, ring.neg(ring.one) if rng.randrange(2) else ring.one)
+    d = tuple(Scalar(ring, ring.sample_unit(rng)) for _ in range(ctx.n))
+    core = [GenLabel("PERM", param=random_perm(ctx, rng)), GenLabel("DIAG", param=(d0, d))]
+    return eval_word(Word(ctx, ring, random_word(ctx, ring, rng, letters).letters + tuple(core)))
+
+
+def _certificate(ctx, rng, letters):
+    """alpha over Q[X] and beta over Q[X^-1] with eval(witness) * beta = alpha."""
+    QQ, PQ, LQ = (ring_from_string(d) for d in ("Q", "poly:Q", "laurent:Q"))
+    poly = random_word(ctx, PQ, rng, letters).letters
+    neg = [GenLabel(l.family, l.i, l.j, Scalar(LQ, LQ.make(-1, [l.param.payload])))
+           for l in random_word(ctx, QQ, rng, 2).letters]
+    witness = [GenLabel(l.family, l.i, l.j, laurent_of_poly(l.param)) for l in poly]
+    witness += [l.inverse() for l in reversed(neg)]
+    return HorrocksInstance(eval_word(Word(ctx, PQ, poly)), eval_word(Word(ctx, LQ, neg)),
+                            Word(ctx, LQ, witness))
+
+
 def test_letters_never_take_a_dense_product(monkeypatch):
     F5 = ring_from_string("Fp:5")
     ctx = FormContext(12)
     rng = random.Random(12)
     word = random_word(ctx, F5, rng, 48)
     alpha = eval_word(word) @ perm_matrix(ctx, F5, random_perm(ctx, rng))
+    local_ctx = FormContext(8)
+    local_alpha = _local_input(local_ctx, ring_from_string("Zpk:3:2"), rng, 32)
+    inst = _certificate(FormContext(4), rng, 14)
 
     calls = _count_matmuls(monkeypatch)
     form_tests = [0]
@@ -267,3 +298,25 @@ def test_letters_never_take_a_dense_product(monkeypatch):
     assert form_tests[0] == 0  # orthogonal input is certified by mo_split
     assert dec.recompose() == alpha
     assert calls[0] == 0
+    local = local_decompose(local_alpha, local_ctx)
+    assert calls[0] == 0
+    assert local.recompose() == local_alpha
+    assert calls[0] == 0
+    assert check_horrocks_instance(inst)["accepted"]
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("desc", ["Zpk:3:2", "Zpk:5:2", "trunc:F3:3"])
+def test_local_letters_match_the_dense_formulas(desc):
+    ring = ring_from_string(desc)
+    rng = random.Random(desc)
+    for n in (3, 4):
+        ctx = FormContext(n)
+        for _ in range(4):
+            alpha = _local_input(ctx, ring, rng, 4 * n)
+            dec = local_decompose(alpha, ctx)
+            tau1, tau2 = eval_word(dec.tau1), eval_word(dec.tau2)
+            assert dec.residual == (eval_word(dec.tau2.inverse())
+                                    @ orthogonal_inverse(dec.mu, ctx)
+                                    @ eval_word(dec.tau1.inverse()) @ alpha)
+            assert dec.recompose() == tau1 @ dec.mu @ tau2 @ dec.residual == alpha
