@@ -30,7 +30,6 @@ from .quadratic_space import (
     matrices_congruent,
     monomial_pattern,
     one_perp,
-    orthogonal_inverse,
 )
 from .generators import (
     GenLabel,
@@ -51,7 +50,7 @@ from .transvections import (
     TransvectionSpec,
     solve_alternating,
     transvection,
-    transvection_laws,
+    transvection_law,
 )
 from .decompose import (
     HorrocksInstance,
@@ -109,7 +108,6 @@ __all__ = [
     "monomial_pattern",
     "mutation_selftest",
     "one_perp",
-    "orthogonal_inverse",
     "perm_matrix",
     "random_word",
     "ring_from_string",
@@ -120,7 +118,7 @@ __all__ = [
     "theta_conjugate",
     "tmt_decompose",
     "transvection",
-    "transvection_laws",
+    "transvection_law",
     "variable",
     "word_from_json",
     "word_to_json",

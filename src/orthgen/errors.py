@@ -78,7 +78,7 @@ class UnknownItem(OrthgenError):
 
 
 class DecompositionError(OrthgenError):
-    """Elimination stalled; carries diagnostic state."""
+    """Elimination stalled or a decomposition check failed; carries only a message."""
 
 
 class JSONFormatError(OrthgenError):

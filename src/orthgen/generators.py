@@ -28,7 +28,7 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .quadratic_space import FormContext, Matrix, orthogonal_inverse
+from .quadratic_space import FormContext, Matrix
 from .rings import (
     LaurentRing,
     PolynomialRing,
@@ -213,11 +213,6 @@ def theta(ctx: FormContext, ring: Ring, m=None) -> Matrix:
     return out
 
 
-def commutator(a: Matrix, b: Matrix, ctx: FormContext) -> Matrix:
-    """a*b*a^-1*b^-1 for orthogonal a, b (inverses via the form)."""
-    return a @ b @ orthogonal_inverse(a, ctx) @ orthogonal_inverse(b, ctx)
-
-
 _LETTER_FAMILIES = F_FAMILIES + ("OE", "PERM", "DIAG", "THETA")
 
 
@@ -391,6 +386,11 @@ class Word:
         if other.ctx.dim != self.ctx.dim or other.ring != self.ring:
             raise RingMismatch("cannot concatenate words over different contexts")
         return Word(self.ctx, self.ring, self.letters + other.letters)
+
+
+def commutator(a: Word, b: Word) -> Word:
+    """The word a*b*a^-1*b^-1; a commutator is a word, so commutators nest."""
+    return a * b * a.inverse() * b.inverse()
 
 
 def apply_word(m: Matrix, word: Word, left: bool = False) -> None:

@@ -28,7 +28,6 @@ from .generators import (
     eval_word,
     gen_F,
     gen_oe,
-    perm_matrix,
     random_word,
     theta,
     word_shuffle,
@@ -42,7 +41,6 @@ from .quadratic_space import (
     embed_blocks,
     is_orthogonal,
     one_perp,
-    orthogonal_inverse,
     split_blocks,
     unitriangular_inverse,
 )
@@ -57,11 +55,12 @@ from .rings import (
 from .transvections import (
     OrderIdealWitness,
     TransvectionSpec,
+    apply_transvection,
     is_alternating,
     solve_alternating,
     split_w_pair,
     transvection,
-    transvection_laws,
+    transvection_law,
     transvection_matrix,
     transvection_split3,
 )
@@ -225,16 +224,21 @@ def _law_item(key):
         if key == "v":
             lam = _unit(ring, rng)
             alpha = eval_word(random_word(ctx, ring, rng, 5)).scale(lam)
-        res = transvection_laws(ctx, u, v, w, a, b, alpha)
-        if res[key] == "equal":
+        res = transvection_law(key, ctx, u, v, w, a, b, alpha)
+        if res == "equal":
             return None
         return _fail(
-            ring, n, law=key, result=res[key],
+            ring, n, law=key, result=res,
             u=_vec_json(u), v=_vec_json(v), w=_vec_json(w),
             a=ring.to_json(a.payload), b=ring.to_json(b.payload),
         )
 
     return check
+
+
+def _one_index(ctx, ring, fam, i, z):
+    """The one-letter word of F1 or F2 letter fam_i(z)."""
+    return Word(ctx, ring, [GenLabel(fam, i, None, z)])
 
 
 def _item_d27_comm(rng, ring, n):
@@ -247,13 +251,13 @@ def _item_d27_comm(rng, ring, n):
     z = _nonzero(ring, rng)
     table = (
         ("F3", gen_F(ctx, "F3", i, j, z),
-         commutator(gen_F(ctx, "F1", i, None, z), gen_F(ctx, "F2", j, None, -half), ctx)),
+         commutator(_one_index(ctx, ring, "F1", i, z), _one_index(ctx, ring, "F2", j, -half))),
         ("F4", gen_F(ctx, "F4", i, j, z),
-         commutator(gen_F(ctx, "F1", j, None, z), gen_F(ctx, "F1", i, None, half), ctx)),
+         commutator(_one_index(ctx, ring, "F1", j, z), _one_index(ctx, ring, "F1", i, half))),
         ("F5", gen_F(ctx, "F5", i, j, z),
-         commutator(gen_F(ctx, "F2", j, None, z), gen_F(ctx, "F2", i, None, half), ctx)),
+         commutator(_one_index(ctx, ring, "F2", j, z), _one_index(ctx, ring, "F2", i, half))),
     )
-    broken = [fam for fam, want, got in table if want != got]
+    broken = [fam for fam, want, got in table if want != eval_word(got)]
     if not broken:
         return None
     return _fail(ring, n, relations=broken, i=i, j=j, z=ring.to_json(z.payload))
@@ -341,8 +345,8 @@ def _item_t48(rng, ring, n):
     vv = v.to_vector(ctx)
     whole = transvection_matrix(ctx, vv, w.to_vector(ctx).scale(y), x1)
     lhs = transvection_matrix(ctx, vv, w.to_vector(ctx), x1 * y)
-    split = (transvection_matrix(ctx, vv, w1.to_vector(ctx), x1)
-             @ transvection_matrix(ctx, vv, w2.to_vector(ctx), x1))
+    split = transvection_matrix(ctx, vv, w1.to_vector(ctx), x1)
+    apply_transvection(ctx, split, vv, w2.to_vector(ctx), x1)
     if lhs == whole == split:
         return None
     return _fail(ring, n, v=_vec_json(vv), w=_vec_json(w.to_vector(ctx)),
@@ -353,9 +357,9 @@ def _item_c413(rng, ring, n):
     ctx = FormContext(2)
     one = Scalar(ring, ring.one)
     b = _unit(ring, rng)
-    d = diag_orthogonal(ctx, one, (b, b.inv()))
-    sigma = perm_matrix(ctx, ring, (1, 4, 3, 2, 5))
-    if commutator(d, sigma, ctx) == diag_orthogonal(ctx, one, (b * b, one)):
+    d = Word(ctx, ring, [GenLabel("DIAG", param=(one, (b, b.inv())))])
+    sigma = Word(ctx, ring, [GenLabel("PERM", param=(1, 4, 3, 2, 5))])
+    if eval_word(commutator(d, sigma)) == diag_orthogonal(ctx, one, (b * b, one)):
         return None
     return _fail(ring, 2, b=ring.to_json(b.payload))
 
@@ -369,19 +373,18 @@ def _item_l416(rng, ring, n):
         zq = z * z * half
         for j in (1, 2):
             a = commutator(
-                gen_F(ctx, "F1", 3, None, z),
-                commutator(gen_F(ctx, "F2", j, None, mh), gen_F(ctx, "F2", 3, None, mh), ctx),
-                ctx,
+                _one_index(ctx, ring, "F1", 3, z),
+                commutator(_one_index(ctx, ring, "F2", j, mh), _one_index(ctx, ring, "F2", 3, mh)),
             )
-            bb = commutator(gen_F(ctx, "F1", 3, None, zq), gen_F(ctx, "F2", j, None, mh), ctx)
-            prod = a @ bb
-            if prod @ prod != gen_F(ctx, "F2", j, None, z):
+            bb = commutator(_one_index(ctx, ring, "F1", 3, zq), _one_index(ctx, ring, "F2", j, mh))
+            prod = a * bb
+            if eval_word(prod * prod) != gen_F(ctx, "F2", j, None, z):
                 return _fail(ring, 3, target=j, z=ring.to_json(z.payload))
-        a = commutator(gen_F(ctx, "F1", 2, None, zq), gen_F(ctx, "F2", 3, None, mh), ctx)
-        inner = commutator(gen_F(ctx, "F2", 2, None, mh), gen_F(ctx, "F2", 3, None, mh), ctx)
-        bb = commutator(gen_F(ctx, "F1", 2, None, z), inner, ctx)
-        prod = a @ orthogonal_inverse(bb, ctx)
-        if prod @ prod != gen_F(ctx, "F2", 3, None, z):
+        a = commutator(_one_index(ctx, ring, "F1", 2, zq), _one_index(ctx, ring, "F2", 3, mh))
+        inner = commutator(_one_index(ctx, ring, "F2", 2, mh), _one_index(ctx, ring, "F2", 3, mh))
+        bb = commutator(_one_index(ctx, ring, "F1", 2, z), inner)
+        prod = a * bb.inverse()
+        if eval_word(prod * prod) != gen_F(ctx, "F2", 3, None, z):
             return _fail(ring, 3, target=3, z=ring.to_json(z.payload))
     return None
 
@@ -463,14 +466,15 @@ def _item_l56(rng, ring, n):
     ctx = FormContext(n)
     d0 = Scalar(ring, ring.from_int(rng.choice((1, -1))))
     d = [_unit(ring, rng) for _ in range(n)]
-    alpha = diag_orthogonal(ctx, d0, d)
-    alpha_inv = orthogonal_inverse(alpha, ctx)
+    alpha = GenLabel("DIAG", param=(d0, tuple(d)))
     z = _sample(ring, rng)
     i = rng.randrange(1, n + 1)
-    got1 = alpha @ gen_F(ctx, "F1", i, None, z) @ alpha_inv
-    got2 = alpha @ gen_F(ctx, "F2", i, None, z) @ alpha_inv
-    ok1 = got1 == gen_F(ctx, "F1", i, None, d0 * d[i - 1] * z)
-    ok2 = got2 == gen_F(ctx, "F2", i, None, d0 * d[i - 1].inv() * z)
+
+    def conjugate(fam):
+        return eval_word(Word(ctx, ring, [alpha, GenLabel(fam, i, None, z), alpha.inverse()]))
+
+    ok1 = conjugate("F1") == gen_F(ctx, "F1", i, None, d0 * d[i - 1] * z)
+    ok2 = conjugate("F2") == gen_F(ctx, "F2", i, None, d0 * d[i - 1].inv() * z)
     if ok1 and ok2:
         return None
     return _fail(ring, n, i=i, z=ring.to_json(z.payload),

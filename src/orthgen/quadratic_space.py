@@ -27,7 +27,7 @@ __all__ = [
     "SplitVector",
     "FormContext",
     "is_orthogonal",
-    "orthogonal_inverse",
+    "similitude_multiplier",
     "monomial_pattern",
     "unitriangular_inverse",
     "matrices_congruent",
@@ -451,15 +451,6 @@ class FormContext:
             return idx + n if idx <= n else idx - n
         return idx + n if idx < n else idx - n
 
-    def gram(self, ring: Ring) -> Matrix:
-        m = Matrix.zeros(ring, self.dim)
-        if self.odd:
-            m.rows[0][0] = ring.from_int(2)
-        for i in range(1, self.n + 1):
-            m.rows[self.u(i)][self.v(i)] = ring.one
-            m.rows[self.v(i)][self.u(i)] = ring.one
-        return m
-
     def phi(self, x: Vector, y: Vector) -> Scalar:
         R = x.ring
         if y.ring != R:
@@ -495,21 +486,25 @@ class FormContext:
         return Vector(R, out, copy=False)
 
 
-def is_orthogonal(M: Matrix, ctx: FormContext) -> bool:
-    """Does M preserve the bilinear form: M^T * gram * M == gram.
+def _form_multiplier(M: Matrix, ctx: FormContext, mult):
+    """mu with M^T * gram * M == mu * gram, or None if there is none.
 
-    Equivalently its columns pair like the basis, phi(col_i, col_j) ==
-    gram[i][j].  That pairing matrix is symmetric, so only i <= j is
-    tested: each column is shuffled once by the form (u and v swapped,
-    the center doubled, as in FormContext.tilde), its nonzero entries
-    are dotted with the columns up to it, and the first mismatch ends
-    the test.  No matrix is built and no product taken.
+    Equivalently M's columns pair like the basis scaled by mu,
+    phi(col_i, col_j) == mu * gram[i][j].  That pairing matrix is
+    symmetric, so only i <= j is tested: each column is shuffled once by
+    the form (u and v swapped, the center doubled, as in
+    FormContext.tilde), its nonzero entries are dotted with the columns
+    up to it, and the first mismatch ends the test.  No matrix is built
+    and no product taken.  mult is mu's payload if known; if None, mu is
+    read off the first pairing the form does not send to zero (the
+    center with itself, halved, or u_1 with v_1 in the even space).
     """
     R = M.ring
     if M.dim != ctx.dim:
         raise IndexOutOfRange(f"matrix dim {M.dim} does not match form dim {ctx.dim}")
     add, mul, is_zero = R.add, R.mul, R.is_zero
-    zero, one, two = R.zero, R.one, R.from_int(2)
+    zero = R.zero
+    wants = None if mult is None else (add(mult, mult), mult)
     partner = [ctx.delta(k) for k in range(ctx.dim)]
     cols = list(zip(*M.rows))
     for j, col in enumerate(cols):
@@ -526,33 +521,31 @@ def is_orthogonal(M: Matrix, ctx: FormContext) -> bool:
                 b = other[k]
                 if not is_zero(b):
                     acc = add(acc, mul(a, b))
-            want = (two if i == j else one) if i == pj else zero
+            if i != pj:
+                want = zero
+            elif mult is None:
+                mult = mul(R.half, acc) if i == j else acc
+                wants = (add(mult, mult), mult)
+                want = acc
+            else:
+                want = wants[0] if i == j else wants[1]
             if not R.eq(acc, want):
-                return False
-    return True
+                return None
+    return mult
 
 
-def orthogonal_inverse(M: Matrix, ctx: FormContext) -> Matrix:
-    """Inverse of an orthogonal matrix: gram^-1 * M^T * gram, by entry shuffles."""
-    R = M.ring
-    if M.dim != ctx.dim:
-        raise IndexOutOfRange(f"matrix dim {M.dim} does not match form dim {ctx.dim}")
-    d = ctx.dim
-    two = R.from_int(2)
-    half = R.half
-    rows = []
-    for i in range(d):
-        si = ctx.delta(i)
-        row = []
-        for j in range(d):
-            e = M.rows[ctx.delta(j)][si]
-            if ctx.odd and i == 0 and j != 0:
-                e = R.mul(half, e)
-            elif ctx.odd and j == 0 and i != 0:
-                e = R.mul(two, e)
-            row.append(e)
-        rows.append(row)
-    return Matrix(R, rows, copy=False)
+def is_orthogonal(M: Matrix, ctx: FormContext) -> bool:
+    """Does M preserve the bilinear form: M^T * gram * M == gram.
+
+    The multiplier-one case of similitude_multiplier's column pairing.
+    """
+    return _form_multiplier(M, ctx, M.ring.one) is not None
+
+
+def similitude_multiplier(M: Matrix, ctx: FormContext):
+    """The Scalar mu with M^T * gram * M == mu * gram, or None if M is no similitude."""
+    mult = _form_multiplier(M, ctx, None)
+    return None if mult is None else Scalar(M.ring, mult)
 
 
 def monomial_pattern(M: Matrix):
@@ -576,22 +569,33 @@ def monomial_pattern(M: Matrix):
 
 
 def unitriangular_inverse(M: Matrix) -> Matrix:
-    """Inverse of a unitriangular matrix via the terminating Neumann series."""
+    """Inverse of a unitriangular matrix by back or forward substitution.
+
+    Column c of the inverse X solves M * x = e_c: x_c = 1, and each
+    further entry is minus M's row dotted with the entries already found
+    (upward from c for upper M, downward for lower).
+    """
     R = M.ring
     d = M.dim
-    upper = all(R.is_zero(M.rows[i][j]) for i in range(d) for j in range(i))
-    lower = all(R.is_zero(M.rows[i][j]) for i in range(d) for j in range(i + 1, d))
-    diag_one = all(R.eq(M.rows[i][i], R.one) for i in range(d))
+    rows = M.rows
+    upper = all(R.is_zero(rows[i][j]) for i in range(d) for j in range(i))
+    lower = all(R.is_zero(rows[i][j]) for i in range(d) for j in range(i + 1, d))
+    diag_one = all(R.eq(rows[i][i], R.one) for i in range(d))
     if not (diag_one and (upper or lower)):
         raise NotUnipotent("matrix is not unitriangular")
-    ident = Matrix.identity(R, d)
-    negn = ident - M
-    acc = ident
-    term = ident
-    for _ in range(d - 1):
-        term = term @ negn
-        acc = acc + term
-    return acc
+    out = Matrix.identity(R, d)
+    inv = out.rows
+    for c in range(d):
+        order = range(c - 1, -1, -1) if upper else range(c + 1, d)
+        for i in order:
+            span = range(i + 1, c + 1) if upper else range(c, i)
+            acc = R.zero
+            for k in span:
+                a, x = rows[i][k], inv[k][c]
+                if not (R.is_zero(a) or R.is_zero(x)):
+                    acc = R.add(acc, R.mul(a, x))
+            inv[i][c] = R.neg(acc)
+    return out
 
 
 def matrix_in_ideal(M: Matrix, ideal: IdealDescriptor) -> bool:

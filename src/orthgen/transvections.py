@@ -11,6 +11,11 @@ letters are transvections on the nose: F1_i(z) = E(e_ui, -e_0, z),
 F2_i(z) = E(e_vi, -e_0, z), and in the even space
 oe_ij(z) = E(e_i, e_delta(j), z).
 
+apply_transvection multiplies a matrix by E(v, w, x) in place as two
+rank-1 line updates.  transvection_matrix and the laws go through it,
+so they build no transvection from outer products and multiply none in
+as a dense matrix.
+
 The three-factor splitting (transvection_split3) assumes the w block
 shape (w0, w', 0); its border rows carry the sign of the normalization
 above, while the interior blocks agree with the diagonal/alternating
@@ -28,6 +33,7 @@ from .errors import (
     NotAUnit,
     NotOrthogonalPair,
     RingMismatch,
+    UnknownItem,
 )
 from .quadratic_space import (
     FormContext,
@@ -36,7 +42,7 @@ from .quadratic_space import (
     Vector,
     embed_blocks,
     is_orthogonal,
-    orthogonal_inverse,
+    similitude_multiplier,
 )
 from .rings import Scalar, ring_from_string
 
@@ -45,7 +51,8 @@ __all__ = [
     "OrderIdealWitness",
     "transvection",
     "transvection_matrix",
-    "transvection_laws",
+    "apply_transvection",
+    "transvection_law",
     "solve_alternating",
     "transvection_split3",
     "split_w_pair",
@@ -133,23 +140,92 @@ class OrderIdealWitness:
         self.sources = sources
 
 
-def transvection_matrix(ctx: FormContext, v: Vector, w: Vector, x: Scalar) -> Matrix:
-    """E(v, w, x) as a matrix; requires q(v) = 0 and phi(v, w) = 0."""
+def _check_transvection(ctx: FormContext, v: Vector, w: Vector, x: Scalar) -> None:
     R = v.ring
     if w.ring != R or x.ring != R:
         raise RingMismatch("transvection data must share one ring")
-    if len(v) != ctx.dim or len(w) != ctx.dim:
-        raise IndexOutOfRange(f"vectors must have length {ctx.dim}")
+    _check_lengths(ctx, v, w)
     if not ctx.quad(v) == 0:
         raise HypothesisViolated("q(v) must vanish")
     if not ctx.phi(v, w) == 0:
         raise HypothesisViolated("phi(v, w) must vanish")
-    tv = ctx.tilde(v)
-    tw = ctx.tilde(w)
-    m = Matrix.identity(R, ctx.dim) + (v.outer(tw) - w.outer(tv)).scale(x)
-    qw = ctx.quad(w)
-    if not qw == 0:
-        return m - v.outer(tv).scale(x * x * qw)
+
+
+def _check_lengths(ctx: FormContext, *vectors: Vector) -> None:
+    if any(len(t) != ctx.dim for t in vectors):
+        raise IndexOutOfRange(f"vectors must have length {ctx.dim}")
+
+
+def apply_transvection(ctx: FormContext, m: Matrix, v: Vector, w: Vector, x: Scalar,
+                       left: bool = False) -> None:
+    """Multiply m in place by E(v, w, x): m <- E*m if left, else m <- m*E.
+
+    E = I + v*a^T + w*b^T with a = x*wt - x^2*q(w)*vt and b = -x*vt, so
+    E*m adds v*(a^T m) + w*(b^T m) to m's rows and m*E adds
+    (m v)*a^T + (m w)*b^T to its columns: two rank-1 updates over the
+    nonzero support of v and w, O(dim) ring operations per line touched.
+    Requires q(v) = 0 and phi(v, w) = 0, as transvection_matrix does.
+    """
+    _check_transvection(ctx, v, w, x)
+    R = m.ring
+    if v.ring != R:
+        raise RingMismatch(f"{R.descriptor} vs {v.ring.descriptor}")
+    if m.dim != ctx.dim:
+        raise IndexOutOfRange(f"dimension mismatch {m.dim} vs {ctx.dim}")
+    add, mul, is_zero = R.add, R.mul, R.is_zero
+
+    def support(comps):
+        return [(k, c) for k, c in enumerate(comps) if not is_zero(c)]
+
+    z = x.payload
+    vt, wt = ctx.tilde(v).comps, ctx.tilde(w).comps
+    a = [mul(z, t) for t in wt]
+    corr = R.neg(mul(mul(z, z), ctx.quad(w).payload))
+    if not is_zero(corr):
+        a = [add(s, mul(corr, t)) for s, t in zip(a, vt)]
+    mz = R.neg(z)
+    b = [mul(mz, t) for t in vt]
+    updates = [(support(v.comps), support(a)), (support(w.comps), support(b))]
+    rows = m.rows
+    # Both combinations are read from m before either is added back.
+    if left:
+        sums = []
+        for _, coeffs in updates:
+            acc = [R.zero] * m.dim
+            for k, c in coeffs:
+                for j, s in enumerate(rows[k]):
+                    if not is_zero(s):
+                        acc[j] = add(acc[j], mul(c, s))
+            sums.append(acc)
+        for (targets, _), acc in zip(updates, sums):
+            for i, t in targets:
+                row = rows[i]
+                for j, s in enumerate(acc):
+                    if not is_zero(s):
+                        row[j] = add(row[j], mul(t, s))
+    else:
+        sums = []
+        for sources, _ in updates:
+            acc = []
+            for row in rows:
+                total = R.zero
+                for k, t in sources:
+                    s = row[k]
+                    if not is_zero(s):
+                        total = add(total, mul(s, t))
+                acc.append(total)
+            sums.append(acc)
+        for (_, coeffs), acc in zip(updates, sums):
+            for row, s in zip(rows, acc):
+                if not is_zero(s):
+                    for k, c in coeffs:
+                        row[k] = add(row[k], mul(s, c))
+
+
+def transvection_matrix(ctx: FormContext, v: Vector, w: Vector, x: Scalar) -> Matrix:
+    """E(v, w, x) as a matrix; requires q(v) = 0 and phi(v, w) = 0."""
+    m = Matrix.identity(v.ring, ctx.dim)
+    apply_transvection(ctx, m, v, w, x, left=True)
     return m
 
 
@@ -159,6 +235,9 @@ def transvection(spec: TransvectionSpec, ctx: FormContext) -> Matrix:
     return transvection_matrix(ctx, spec.v.to_vector(ctx), spec.w.to_vector(ctx), spec.x)
 
 
+_LAW_KEYS = ("i", "ii", "iii", "iv", "v")
+
+
 def _law(preconditions, verify) -> str:
     for ok, reason in preconditions:
         if not ok:
@@ -166,87 +245,72 @@ def _law(preconditions, verify) -> str:
     return "equal" if verify() else "unequal"
 
 
-def transvection_laws(ctx, u, v, w, a, b, alpha=None) -> dict:
-    """Evaluate the five transvection laws on concrete data.
+def transvection_law(key, ctx, u, v, w, a, b, alpha=None) -> str:
+    """Evaluate one transvection law, keyed "i".."v", on concrete data.
 
-    Returns a dict keyed "i".."v" with values "equal", "unequal", or
-    "skipped (<why>)" when a law's hypotheses fail on the input.  Law
-    (v) needs alpha, a similitude of the form; its multiplier is read
-    off the gram transport and must be a unit.
+    Returns "equal", "unequal", or "skipped (<why>)" when the law's
+    hypotheses fail on the input.  Law (v) needs alpha, a similitude of
+    the form; its multiplier is read by pairing alpha's columns and must
+    be a unit.  Each side of a law is applied to one running matrix by
+    the transvection kernel, so no two matrices are multiplied.
     """
-    qu = ctx.quad(u)
-    qv = ctx.quad(v)
-    qw = ctx.quad(w)
-    phi_uv = ctx.phi(u, v)
-    phi_uw = ctx.phi(u, w)
-    phi_vw = ctx.phi(v, w)
-    ident = Matrix.identity(u.ring, ctx.dim)
-    report = {}
+    if key not in _LAW_KEYS:
+        raise UnknownItem(f"unknown transvection law {key!r}")
+    R = u.ring
+    if any(t.ring != R for t in (v, w, a, b) + (() if alpha is None else (alpha,))):
+        raise RingMismatch("law data must share one ring")
+    _check_lengths(ctx, u, v, w)
+    base = [(ctx.quad(u) == 0, "q(u) != 0"), (ctx.phi(u, v) == 0, "phi(u,v) != 0")]
+    ident = Matrix.identity(R, ctx.dim)
 
-    base = [(qu == 0, "q(u) != 0"), (phi_uv == 0, "phi(u,v) != 0")]
+    def product(*factors):
+        out = transvection_matrix(ctx, *factors[0])
+        for f in factors[1:]:
+            apply_transvection(ctx, out, *f)
+        return out
 
-    report["i"] = _law(
-        base,
-        lambda: is_orthogonal(transvection_matrix(ctx, u, v, a), ctx)
-        and transvection_matrix(ctx, u, u, a) == ident,
-    )
-    report["ii"] = _law(
-        base,
-        lambda: transvection_matrix(ctx, u, v, a * b)
-        == transvection_matrix(ctx, u.scale(a), v, b)
-        == transvection_matrix(ctx, u, v.scale(a), b),
-    )
-    report["iii"] = _law(
-        base + [(phi_uw == 0, "phi(u,w) != 0")],
-        lambda: transvection_matrix(ctx, u, v, a) @ transvection_matrix(ctx, u, w, a)
-        == transvection_matrix(ctx, u, v + w, a),
-    )
+    if key == "i":
+        return _law(base, lambda: is_orthogonal(transvection_matrix(ctx, u, v, a), ctx)
+                    and transvection_matrix(ctx, u, u, a) == ident)
+    if key == "ii":
+        return _law(base, lambda: transvection_matrix(ctx, u, v, a * b)
+                    == transvection_matrix(ctx, u.scale(a), v, b)
+                    == transvection_matrix(ctx, u, v.scale(a), b))
+    if key == "iii":
+        return _law(base + [(ctx.phi(u, w) == 0, "phi(u,w) != 0")],
+                    lambda: product((u, v, a), (u, w, a)) == transvection_matrix(ctx, u, v + w, a))
+    if key == "iv":
+        # Additivity in the first slot picks up a correction transvection
+        # inside the isotropic plane spanned by u and v.
+        def check_iv() -> bool:
+            fix = -(a * a * ctx.quad(w))
+            return (product((u, w, a), (v, w, a)) == product((u + v, w, a), (u, v, fix))
+                    and product((u, v, a), (v, u, a)) == ident)
 
-    # Additivity in the first slot picks up a correction transvection
-    # inside the isotropic plane spanned by u and v.
-    def check_iv() -> bool:
-        lhs = transvection_matrix(ctx, u, w, a) @ transvection_matrix(ctx, v, w, a)
-        fix = transvection_matrix(ctx, u, v, -(a * a * qw))
-        rhs = transvection_matrix(ctx, u + v, w, a) @ fix
-        alt = transvection_matrix(ctx, u, v, a) @ transvection_matrix(ctx, v, u, a)
-        return lhs == rhs and alt == ident
-
-    report["iv"] = _law(
-        base
-        + [
-            (qv == 0, "q(v) != 0"),
-            (phi_uw == 0, "phi(u,w) != 0"),
-            (phi_vw == 0, "phi(v,w) != 0"),
-        ],
-        check_iv,
-    )
+        return _law(base + [(ctx.quad(v) == 0, "q(v) != 0"),
+                            (ctx.phi(u, w) == 0, "phi(u,w) != 0"),
+                            (ctx.phi(v, w) == 0, "phi(v,w) != 0")], check_iv)
 
     if alpha is None:
-        report["v"] = "skipped (no similitude given)"
-        return report
-
-    R = u.ring
-    gram = ctx.gram(R)
-    transported = alpha.transpose() @ gram @ alpha
-    if ctx.odd:
-        mult = transported[0, 0] * Scalar(R, R.half)
-    else:
-        mult = transported[ctx.u(1), ctx.v(1)]
-    if transported != gram.scale(mult):
-        report["v"] = "skipped (alpha is not a similitude)"
-        return report
+        return "skipped (no similitude given)"
+    mult = similitude_multiplier(alpha, ctx)
+    if mult is None:
+        return "skipped (alpha is not a similitude)"
     try:
         mult_inv = mult.inv()
     except NotAUnit:
-        report["v"] = "skipped (similitude multiplier is not a unit)"
-        return report
-    alpha_inv = orthogonal_inverse(alpha, ctx).scale(mult_inv)
-    report["v"] = _law(
-        base,
-        lambda: alpha @ transvection_matrix(ctx, u, v, b) @ alpha_inv
-        == transvection_matrix(ctx, alpha.apply(u), alpha.apply(v), mult_inv * b),
-    )
-    return report
+        return "skipped (similitude multiplier is not a unit)"
+
+    # alpha*E(u, v, b)*alpha^-1 == E(alpha u, alpha v, b/mu), cleared of
+    # the inverse by multiplying both sides by alpha on the right.
+    def check_v() -> bool:
+        lhs = alpha.copy()
+        apply_transvection(ctx, lhs, u, v, b)
+        rhs = alpha.copy()
+        apply_transvection(ctx, rhs, alpha.apply(u), alpha.apply(v), mult_inv * b, left=True)
+        return lhs == rhs
+
+    return _law(base, check_v)
 
 
 def is_alternating(m: Matrix) -> bool:

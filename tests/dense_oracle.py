@@ -1,8 +1,12 @@
 """Dense oracles kept for the tests.
 
 letter_matrix builds the matrix of one letter, the reference the sparse
-letter kernel is checked against; det is a division-free determinant
-that the tests use to check transvections and to test itself.
+letter kernel is checked against; transvection_formula builds E(v, w, x)
+from outer products, the reference for the transvection kernel;
+gram is the form's matrix and orthogonal_inverse the form adjoint, and unitriangular_series the
+terminating Neumann series, against which unitriangular_inverse's
+substitution is checked; det is a division-free determinant that the
+tests use to check transvections and to test itself.
 """
 
 from orthgen.generators import (
@@ -14,6 +18,8 @@ from orthgen.generators import (
     perm_matrix,
     theta,
 )
+from orthgen.errors import NotUnipotent
+from orthgen.quadratic_space import Matrix
 from orthgen.rings import Scalar
 
 
@@ -88,3 +94,61 @@ def det(m):
     if d % 2:
         val = R.neg(val)
     return Scalar(R, val)
+
+
+def gram(ctx, ring):
+    """The matrix G of the bilinear form: phi(x, y) = x^T G y."""
+    m = Matrix.zeros(ring, ctx.dim)
+    if ctx.odd:
+        m.rows[0][0] = ring.from_int(2)
+    for i in range(1, ctx.n + 1):
+        m.rows[ctx.u(i)][ctx.v(i)] = ring.one
+        m.rows[ctx.v(i)][ctx.u(i)] = ring.one
+    return m
+
+
+def transvection_formula(ctx, v, w, x):
+    """E(v, w, x) = I + x*(v*wt - w*vt) - x^2*q(w)*(v*vt), by dense outer products."""
+    tv = ctx.tilde(v)
+    tw = ctx.tilde(w)
+    m = Matrix.identity(v.ring, ctx.dim) + (v.outer(tw) - w.outer(tv)).scale(x)
+    return m - v.outer(tv).scale(x * x * ctx.quad(w))
+
+
+def orthogonal_inverse(M, ctx):
+    """Inverse of an orthogonal matrix: gram^-1 * M^T * gram, by entry shuffles."""
+    R = M.ring
+    d = ctx.dim
+    two = R.from_int(2)
+    rows = []
+    for i in range(d):
+        si = ctx.delta(i)
+        row = []
+        for j in range(d):
+            e = M.rows[ctx.delta(j)][si]
+            if ctx.odd and i == 0 and j != 0:
+                e = R.mul(R.half, e)
+            elif ctx.odd and j == 0 and i != 0:
+                e = R.mul(two, e)
+            row.append(e)
+        rows.append(row)
+    return Matrix(R, rows, copy=False)
+
+
+def unitriangular_series(M):
+    """Inverse of a unitriangular matrix as the terminating Neumann series."""
+    R = M.ring
+    d = M.dim
+    upper = all(R.is_zero(M.rows[i][j]) for i in range(d) for j in range(i))
+    lower = all(R.is_zero(M.rows[i][j]) for i in range(d) for j in range(i + 1, d))
+    diag_one = all(R.eq(M.rows[i][i], R.one) for i in range(d))
+    if not (diag_one and (upper or lower)):
+        raise NotUnipotent("matrix is not unitriangular")
+    ident = Matrix.identity(R, d)
+    negn = ident - M
+    acc = ident
+    term = ident
+    for _ in range(d - 1):
+        term = term @ negn
+        acc = acc + term
+    return acc

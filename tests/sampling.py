@@ -1,5 +1,17 @@
 """Random inputs shared by several test modules."""
 
+from orthgen.quadratic_space import Matrix
+
+# One ring of every kind the kernels are checked over.
+RINGS = ("Q", "Fp:5", "Zpk:3:2", "trunc:F5:3", "poly:Q", "laurent:Q")
+
+
+def random_matrix(ring, dim, rng):
+    """A random square matrix with about 70% of its entries sampled, the rest zero."""
+    rows = [[ring.sample(rng) if rng.random() < 0.7 else ring.zero for _ in range(dim)]
+            for _ in range(dim)]
+    return Matrix(ring, rows, copy=False)
+
 
 def random_perm(ctx, rng) -> tuple:
     """A random delta-commuting permutation as a 1-based image tuple."""

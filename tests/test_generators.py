@@ -33,10 +33,10 @@ from orthgen.generators import (
     word_shuffle,
     word_to_json,
 )
-from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal, one_perp, orthogonal_inverse
+from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal, one_perp
 from orthgen.rings import PrimeField, RationalField, Scalar, canonical_json, ring_from_string
 
-from dense_oracle import letter_matrix
+from dense_oracle import letter_matrix, orthogonal_inverse
 from sampling import random_perm
 
 QQ = RationalField()
@@ -140,6 +140,14 @@ def test_gen_f_symmetric_families_swap_sign():
     assert gen_F(CTX3, "F5", 3, 1, z) == gen_F(CTX3, "F5", 1, 3, -z)
 
 
+def _letter_word(ctx, ring, fam, i, z):
+    return Word(ctx, ring, [GenLabel(fam, i, None, z)])
+
+
+def _dense_commutator(a, b, ctx):
+    return a @ b @ orthogonal_inverse(a, ctx) @ orthogonal_inverse(b, ctx)
+
+
 def test_commutator_relations_for_derived_families():
     # F3_ij(z) = [F1_i(z), F2_j(-1/2)], F4_ij(z) = [F1_j(z), F1_i(1/2)],
     # F5_ij(z) = [F2_j(z), F2_i(1/2)] under [a,b] = a b a^-1 b^-1.
@@ -153,12 +161,19 @@ def test_commutator_relations_for_derived_families():
                 if j >= i:
                     j += 1
                 z = Scalar(ring, ring.sample(rng))
-                f3 = commutator(gen_F(ctx, "F1", i, None, z), gen_F(ctx, "F2", j, None, -half), ctx)
-                assert f3 == gen_F(ctx, "F3", i, j, z)
-                f4 = commutator(gen_F(ctx, "F1", j, None, z), gen_F(ctx, "F1", i, None, half), ctx)
-                assert f4 == gen_F(ctx, "F4", i, j, z)
-                f5 = commutator(gen_F(ctx, "F2", j, None, z), gen_F(ctx, "F2", i, None, half), ctx)
-                assert f5 == gen_F(ctx, "F5", i, j, z)
+                for fam, (fa, ia, za), (fb, ib, zb) in (
+                    ("F3", ("F1", i, z), ("F2", j, -half)),
+                    ("F4", ("F1", j, z), ("F1", i, half)),
+                    ("F5", ("F2", j, z), ("F2", i, half)),
+                ):
+                    a = _letter_word(ctx, ring, fa, ia, za)
+                    b = _letter_word(ctx, ring, fb, ib, zb)
+                    word = commutator(a, b)
+                    assert word.letters == a.letters + b.letters + (
+                        a.letters[0].inverse(), b.letters[0].inverse())
+                    got = eval_word(word)
+                    assert got == gen_F(ctx, fam, i, j, z)
+                    assert got == _dense_commutator(eval_word(a), eval_word(b), ctx)
 
 
 def test_gen_oe_formula_and_errors():
@@ -250,34 +265,40 @@ def test_dim5_diag_perm_commutator_identity():
     for ring, bval in ((QQ, 3), (F7, 4)):
         b = Scalar(ring, ring.from_int(bval))
         one = Scalar(ring, ring.one)
-        d = diag_orthogonal(ctx, one, (b, b.inv()))
-        sigma = perm_matrix(ctx, ring, (1, 4, 3, 2, 5))
-        assert commutator(d, sigma, ctx) == diag_orthogonal(ctx, one, (b * b, one))
+        d = Word(ctx, ring, [GenLabel("DIAG", param=(one, (b, b.inv())))])
+        sigma = Word(ctx, ring, [GenLabel("PERM", param=(1, 4, 3, 2, 5))])
+        got = eval_word(commutator(d, sigma))
+        assert got == diag_orthogonal(ctx, one, (b * b, one))
+        assert got == _dense_commutator(eval_word(d), eval_word(sigma), ctx)
 
 
 def test_triangular_generator_relations_for_second_family():
-    # The three O_7 relations writing F2_j(z) as squared commutator products.
+    # The three O_7 relations writing F2_j(z) as squared commutator products,
+    # with the nested commutators built as words.
     for ring in (QQ, F7):
         ctx = CTX3
         mh = Scalar(ring, ring.neg(ring.half))
         half = Scalar(ring, ring.half)
+
+        def f(fam, i, z):
+            return _letter_word(ctx, ring, fam, i, z)
+
         for zi in (0, 1, 2, -3):
             z = Scalar(ring, ring.from_int(zi))
             zq = z * z * half
             for jj in (1, 2):
-                a = commutator(
-                    gen_F(ctx, "F1", 3, None, z),
-                    commutator(gen_F(ctx, "F2", jj, None, mh), gen_F(ctx, "F2", 3, None, mh), ctx),
-                    ctx,
-                )
-                bb = commutator(gen_F(ctx, "F1", 3, None, zq), gen_F(ctx, "F2", jj, None, mh), ctx)
-                prod = a @ bb
-                assert prod @ prod == gen_F(ctx, "F2", jj, None, z)
-            a = commutator(gen_F(ctx, "F1", 2, None, zq), gen_F(ctx, "F2", 3, None, mh), ctx)
-            inner = commutator(gen_F(ctx, "F2", 2, None, mh), gen_F(ctx, "F2", 3, None, mh), ctx)
-            bb = commutator(gen_F(ctx, "F1", 2, None, z), inner, ctx)
-            prod = a @ orthogonal_inverse(bb, ctx)
-            assert prod @ prod == gen_F(ctx, "F2", 3, None, z)
+                inner = commutator(f("F2", jj, mh), f("F2", 3, mh))
+                a = commutator(f("F1", 3, z), inner)
+                assert eval_word(a) == _dense_commutator(
+                    gen_F(ctx, "F1", 3, None, z), eval_word(inner), ctx)
+                bb = commutator(f("F1", 3, zq), f("F2", jj, mh))
+                prod = a * bb
+                assert eval_word(prod * prod) == gen_F(ctx, "F2", jj, None, z)
+            a = commutator(f("F1", 2, zq), f("F2", 3, mh))
+            inner = commutator(f("F2", 2, mh), f("F2", 3, mh))
+            bb = commutator(f("F1", 2, z), inner)
+            prod = a * bb.inverse()
+            assert eval_word(prod * prod) == gen_F(ctx, "F2", 3, None, z)
 
 
 def test_diag_conjugation_scales_parameters():

@@ -6,8 +6,11 @@ exponents and every ring kind, and must refuse the letters the dense
 path refuses with the same error class.  The product-free form test
 is_orthogonal is checked against M^T * gram * M == gram.  A counting
 guard keeps dense products out of word evaluation, both decompositions,
-their recomposition and the certificate check, and form tests out of
-the field decomposition.  The local decomposition, which carries its
+their recomposition, the certificate check, unitriangular inversion and
+the identity suite's transvection, commutator and conjugation items,
+and form tests out of the field decomposition.  The similitude
+multiplier read by pairing columns is checked against the gram
+transport.  The local decomposition, which carries its
 monomial core as PERM and DIAG letters, is checked against the dense
 formulas for its residual and its recomposition.
 """
@@ -34,21 +37,21 @@ from orthgen.generators import (
     perm_matrix,
     random_word,
 )
-from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal, orthogonal_inverse
+from orthgen.identity_suite import run_suite
+from orthgen.quadratic_space import (
+    FormContext,
+    Matrix,
+    is_orthogonal,
+    similitude_multiplier,
+    unitriangular_inverse,
+)
 from orthgen.rings import LaurentRing, PolynomialRing, Scalar, laurent_of_poly, ring_from_string
 
-from dense_oracle import letter_matrix
-from sampling import random_perm
+from dense_oracle import gram, letter_matrix, orthogonal_inverse
+from sampling import RINGS, random_matrix, random_perm
 
-RINGS = ("Q", "Fp:5", "Zpk:3:2", "trunc:F5:3", "poly:Q", "laurent:Q")
 ODD = FormContext(3)
 EVEN = FormContext(3, odd=False)
-
-
-def _random_dense(ring, dim, rng):
-    rows = [[ring.sample(rng) if rng.random() < 0.7 else ring.zero for _ in range(dim)]
-            for _ in range(dim)]
-    return Matrix(ring, rows, copy=False)
 
 
 def _scalar(ring, rng):
@@ -93,7 +96,7 @@ def test_kernel_matches_dense_letter_products(desc, ctx):
     for _ in range(3):
         for letter in _letters(ctx, ring, rng):
             dense = letter_matrix(ctx, ring, letter)
-            m = _random_dense(ring, ctx.dim, rng)
+            m = random_matrix(ring, ctx.dim, rng)
             before = m.copy()
             assert _kernel(ctx, m, letter, left=True) == dense @ m, letter
             assert _kernel(ctx, m, letter, left=False) == m @ dense, letter
@@ -124,7 +127,7 @@ def test_kernel_reads_the_live_term_table(monkeypatch):
             dense = gen_F(ODD, family, i, j, z)
             assert dense != unmutated
             letter = GenLabel(family, i, j, z)
-            m = _random_dense(ring, ODD.dim, rng)
+            m = random_matrix(ring, ODD.dim, rng)
             assert _kernel(ODD, m, letter, left=True) == dense @ m
             assert _kernel(ODD, m, letter, left=False) == m @ dense
             monkeypatch.setattr(generators, "_F_TERMS", original)
@@ -173,8 +176,8 @@ def test_bad_letters_raise_like_the_dense_path(ctx, ring, letter):
 
 
 def _two_products(m, ctx):
-    gram = ctx.gram(m.ring)
-    return m.transpose() @ gram @ m == gram
+    g = gram(ctx, m.ring)
+    return m.transpose() @ g @ m == g
 
 
 def _position_classes(ctx):
@@ -233,12 +236,50 @@ def test_is_orthogonal_agrees_with_the_gram_test(desc):
                 bent = m.copy()
                 r, c = rng.choice(positions)
                 bent.rows[r][c] = ring.add(bent.rows[r][c], ring.sample_unit(rng))
-                for cand in (m, bent, _random_dense(ring, ctx.dim, rng)):
+                for cand in (m, bent, random_matrix(ring, ctx.dim, rng)):
                     agree(cand)
         assert seen == {True, False}
         for dim in (ctx.dim - 1, ctx.dim + 1):
             with pytest.raises(IndexOutOfRange):
                 is_orthogonal(Matrix.identity(ring, dim), ctx)
+
+
+def _gram_multiplier(m, ctx):
+    """mu with m^T gram m == mu gram, read from two dense products, or None."""
+    g = gram(ctx, m.ring)
+    transported = m.transpose() @ g @ m
+    if ctx.odd:
+        mult = transported[0, 0] * Scalar(m.ring, m.ring.half)
+    else:
+        mult = transported[ctx.u(1), ctx.v(1)]
+    return mult if transported == g.scale(mult) else None
+
+
+@pytest.mark.parametrize("desc", RINGS)
+def test_similitude_multiplier_agrees_with_the_gram_transport(desc):
+    ring = ring_from_string(desc)
+    rng = random.Random(f"similitude:{desc}")
+    for ctx in (ODD, EVEN):
+        seen = set()
+        for _ in range(4):
+            if ctx.odd:
+                m = eval_word(random_word(ctx, ring, rng, 6))
+            else:
+                m = eval_word(Word(ctx, ring, [GenLabel("OE", 1, 5, _scalar(ring, rng)),
+                                               GenLabel("OE", 6, 2, _scalar(ring, rng))]))
+            lam = Scalar(ring, ring.sample_unit(rng))
+            scaled = m.scale(lam)
+            assert similitude_multiplier(scaled, ctx) == lam * lam
+            bent = scaled.copy()
+            r, c = rng.randrange(ctx.dim), rng.randrange(ctx.dim)
+            bent.rows[r][c] = ring.add(bent.rows[r][c], ring.sample_unit(rng))
+            for cand in (scaled, bent, random_matrix(ring, ctx.dim, rng), Matrix.zeros(ring, ctx.dim)):
+                got = similitude_multiplier(cand, ctx)
+                assert got == _gram_multiplier(cand, ctx)
+                seen.add(got is None)
+        assert seen == {True, False}
+        with pytest.raises(IndexOutOfRange):
+            similitude_multiplier(Matrix.identity(ring, ctx.dim + 1), ctx)
 
 
 def _count_matmuls(monkeypatch):
@@ -304,6 +345,17 @@ def test_letters_never_take_a_dense_product(monkeypatch):
     assert calls[0] == 0
     assert check_horrocks_instance(inst)["accepted"]
     assert calls[0] == 0
+    upper = Matrix.identity(F5, 6)
+    upper.rows[0][5] = upper.rows[2][3] = F5.one
+    unitriangular_inverse(upper)
+    unitriangular_inverse(upper.transpose())
+    assert calls[0] == 0
+    # One sample of each law, of the w-split and of the commutator and
+    # conjugation items: transvections and letters only, never a product.
+    for item in ("L2.3.i", "L2.3.ii", "L2.3.iii", "L2.3.iv", "L2.3.v",
+                 "T4.8", "D2.7.comm", "C4.13", "L4.16", "L5.6"):
+        assert run_suite([item], 1, 1).total_failures == 0
+        assert calls[0] == 0, item
 
 
 @pytest.mark.parametrize("desc", ["Zpk:3:2", "Zpk:5:2", "trunc:F3:3"])

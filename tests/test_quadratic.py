@@ -23,7 +23,6 @@ from orthgen.quadratic_space import (
     matrix_residue,
     monomial_pattern,
     one_perp,
-    orthogonal_inverse,
     split_blocks,
     unitriangular_inverse,
 )
@@ -36,7 +35,8 @@ from orthgen.rings import (
     ring_from_string,
 )
 
-from dense_oracle import det
+from dense_oracle import det, gram, orthogonal_inverse, unitriangular_series
+from sampling import RINGS
 
 QQ = RationalField()
 F7 = PrimeField(7)
@@ -179,7 +179,7 @@ def test_vector_ops():
 
 def test_gram_matrix_odd_n2():
     ctx = FormContext(2)
-    g = ctx.gram(QQ)
+    g = gram(ctx, QQ)
     expected = Matrix.from_scalars(
         QQ,
         [
@@ -217,7 +217,7 @@ def test_form_context_indexing():
 def test_phi_quad_tilde_agree_with_gram(odd):
     ctx = FormContext(3, odd=odd)
     rng = random.Random(21)
-    g = ctx.gram(QQ)
+    g = gram(ctx, QQ)
     for _ in range(30):
         x = Vector(QQ, [QQ.sample(rng) for _ in range(ctx.dim)], copy=False)
         y = Vector(QQ, [QQ.sample(rng) for _ in range(ctx.dim)], copy=False)
@@ -298,6 +298,25 @@ def test_unitriangular_inverse():
         unitriangular_inverse(Matrix.from_scalars(F7, [[1, 2], [3, 1]]))
     with pytest.raises(NotUnipotent):
         unitriangular_inverse(Matrix.from_scalars(F7, [[2, 1], [0, 1]]))
+
+
+@pytest.mark.parametrize("desc", RINGS)
+def test_unitriangular_inverse_matches_the_series(desc):
+    ring = ring_from_string(desc)
+    rng = random.Random(desc)
+    for d in (1, 2, 5):
+        for upper in (True, False):
+            for _ in range(3):
+                m = Matrix.identity(ring, d)
+                for i in range(d):
+                    for j in range(i + 1, d) if upper else range(i):
+                        m.rows[i][j] = ring.sample(rng)
+                assert unitriangular_inverse(m) == unitriangular_series(m)
+                assert m @ unitriangular_inverse(m) == Matrix.identity(ring, d)
+    bent = Matrix.identity(ring, 3)
+    bent.rows[0][2] = bent.rows[2][0] = ring.one
+    with pytest.raises(NotUnipotent, match="matrix is not unitriangular"):
+        unitriangular_inverse(bent)
 
 
 def test_monomial_pattern():

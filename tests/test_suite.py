@@ -1,8 +1,11 @@
 """Tests for the identity battery: registry, determinism, mutation guard."""
 
+import hashlib
+
 import pytest
 
 import orthgen.generators as generators
+from orthgen.cli import main
 from orthgen.errors import UnknownItem
 from orthgen.identity_suite import ITEM_IDS, mutation_selftest, run_suite
 from orthgen.rings import canonical_json
@@ -81,3 +84,12 @@ def test_failures_record_inputs_and_reproduce():
     assert canonical_json(first.to_json()) == canonical_json(second.to_json())
     payload = next(it for it in first.items if it["failures"])["failures"][0]
     assert "ring" in payload and "n" in payload
+
+
+def test_full_report_at_seed_42_is_pinned(capsys):
+    # The report every law, split and commutator item must keep reproducing.
+    code = main(["identities", "--all", "--seed", "42", "--samples", "100"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fb94314c115e77345116489fe5be07adcbbbc22c7a370156710a1d756c34aad2")

@@ -13,30 +13,32 @@ from orthgen.errors import (
     JSONFormatError,
     NotOrthogonalPair,
     RingMismatch,
+    UnknownItem,
 )
-from orthgen.generators import eval_word, gen_F, gen_oe, perm_matrix, random_word
+from orthgen.generators import GenLabel, Word, eval_word, gen_F, gen_oe, random_word
 from orthgen.quadratic_space import (
     FormContext,
     Matrix,
     SplitVector,
     Vector,
     is_orthogonal,
-    orthogonal_inverse,
 )
-from orthgen.rings import ModularRing, PrimeField, RationalField, Scalar
+from orthgen.rings import ModularRing, PrimeField, RationalField, Scalar, ring_from_string
 from orthgen.transvections import (
     OrderIdealWitness,
     TransvectionSpec,
+    apply_transvection,
     is_alternating,
     solve_alternating,
     split_w_pair,
     transvection,
-    transvection_laws,
+    transvection_law,
     transvection_matrix,
     transvection_split3,
 )
 
-from dense_oracle import det
+from dense_oracle import det, orthogonal_inverse, transvection_formula
+from sampling import RINGS, random_matrix
 
 QQ = RationalField()
 F5 = PrimeField(5)
@@ -45,6 +47,7 @@ Z9 = ModularRing(3, 2)
 CTX3 = FormContext(3)
 CTX4 = FormContext(4)
 ECTX3 = FormContext(3, odd=False)
+LAWS = ("i", "ii", "iii", "iv", "v")
 
 
 def _s(ring, v):
@@ -145,18 +148,94 @@ def test_transvection_additive_in_parameter(data, x1, x2):
     assert lhs == transvection_matrix(CTX3, v, w, a1 + a2)
 
 
+def _random_frame(ctx, ring, rng):
+    """A dense orthogonal matrix: a random word of F letters, or OE letters when even."""
+    if ctx.odd:
+        return eval_word(random_word(ctx, ring, rng, 8))
+    letters = []
+    while len(letters) < 8:
+        i, j = rng.randrange(1, ctx.dim + 1), rng.randrange(1, ctx.dim + 1)
+        if j != i and j - 1 != ctx.delta(i - 1):
+            letters.append(GenLabel("OE", i, j, Scalar(ring, ring.sample(rng))))
+    return eval_word(Word(ctx, ring, letters))
+
+
+def _kernel_data(ctx, ring, frame, rng):
+    """(v, w) pairs with q(v) = phi(v, w) = 0, images under frame of basis combinations.
+
+    frame preserves the form, so q and phi are read off the combinations:
+    w = u_2 keeps q(w) = 0, w = u_2 + v_2 (and the center, when odd)
+    gives q(w) = 1.
+    """
+    def col(*idxs):
+        comps = [ring.zero] * ctx.dim
+        for idx in idxs:
+            comps[idx] = ring.add(comps[idx], ring.one)
+        return frame.apply(Vector(ring, comps, copy=False))
+
+    v = col(ctx.u(1)).scale(Scalar(ring, ring.sample_unit(rng)))
+    ws = [col(ctx.u(2)), col(ctx.u(2), ctx.v(2))] + ([col(0)] if ctx.odd else [])
+    return [(v, w.scale(Scalar(ring, ring.sample_unit(rng)))) for w in ws]
+
+
+@pytest.mark.parametrize("desc", RINGS)
+@pytest.mark.parametrize("ctx", [CTX3, ECTX3], ids=["odd", "even"])
+def test_kernel_matches_the_dense_formula(desc, ctx):
+    ring = ring_from_string(desc)
+    rng = random.Random(f"{desc}:{ctx.odd}")
+    seen = set()
+    for dense_frame in (False, True):
+        for _ in range(2):
+            frame = _random_frame(ctx, ring, rng) if dense_frame else Matrix.identity(ring, ctx.dim)
+            for v, w in _kernel_data(ctx, ring, frame, rng):
+                x = Scalar(ring, ring.sample(rng))
+                dense = transvection_formula(ctx, v, w, x)
+                assert transvection_matrix(ctx, v, w, x) == dense
+                m = random_matrix(ring, ctx.dim, rng)
+                for left in (True, False):
+                    out = m.copy()
+                    apply_transvection(ctx, out, v, w, x, left)
+                    assert out == (dense @ m if left else m @ dense)
+                support = sum(not ring.is_zero(c) for c in v.comps + w.comps)
+                seen.add((ctx.quad(w) == 0, support > 4))
+    assert seen == {(q, wide) for q in (True, False) for wide in (True, False)}
+
+
+def _hypothesis_cases(ctx):
+    eu = _basis(QQ, ctx.dim, ctx.u(1))
+    ev = _basis(QQ, ctx.dim, ctx.v(1))
+    eu_plus_v = _basis(QQ, ctx.dim, ctx.u(2)) + _basis(QQ, ctx.dim, ctx.v(2))
+    one = _s(QQ, 1)
+    return [
+        (RingMismatch, "transvection data must share one ring",
+         (eu, _basis(F7, ctx.dim, ctx.u(2)), _s(F7, 1))),
+        (IndexOutOfRange, f"vectors must have length {ctx.dim}",
+         (_basis(QQ, ctx.dim + 2, 1), _basis(QQ, ctx.dim + 2, 2), one)),
+        (IndexOutOfRange, f"vectors must have length {ctx.dim}",
+         (eu, _basis(QQ, ctx.dim - 2, 2), one)),
+        (HypothesisViolated, r"q\(v\) must vanish", (eu_plus_v, eu, one)),
+        (HypothesisViolated, r"phi\(v, w\) must vanish", (eu, ev, one)),
+    ]
+
+
 def test_transvection_hypothesis_checks():
-    e0 = _basis(QQ, 7, 0)
-    eu = _basis(QQ, 7, CTX3.u(1))
-    ev = _basis(QQ, 7, CTX3.v(1))
-    with pytest.raises(HypothesisViolated):
-        transvection_matrix(CTX3, e0, eu, _s(QQ, 1))
-    with pytest.raises(HypothesisViolated):
-        transvection_matrix(CTX3, eu, ev, _s(QQ, 1))
+    for ctx in (CTX3, ECTX3):
+        for cls, message, args in _hypothesis_cases(ctx):
+            with pytest.raises(cls, match=message):
+                transvection_matrix(ctx, *args)
+            for left in (True, False):
+                m = Matrix.identity(QQ, ctx.dim)
+                with pytest.raises(cls, match=message):
+                    apply_transvection(ctx, m, *args, left=left)
+                assert m == Matrix.identity(QQ, ctx.dim)
+
+
+def test_kernel_rejects_a_matrix_of_the_wrong_shape_or_ring():
+    eu, ev2 = _basis(QQ, 7, CTX3.u(1)), _basis(QQ, 7, CTX3.u(2))
     with pytest.raises(IndexOutOfRange):
-        transvection_matrix(CTX3, _basis(QQ, 9, 1), _basis(QQ, 9, 2), _s(QQ, 1))
+        apply_transvection(CTX3, Matrix.identity(QQ, 5), eu, ev2, _s(QQ, 1))
     with pytest.raises(RingMismatch):
-        transvection_matrix(CTX3, eu, _basis(F7, 7, CTX3.u(2)), _s(F7, 1))
+        apply_transvection(CTX3, Matrix.identity(F7, 7), eu, ev2, _s(QQ, 1))
 
 
 # --- the five laws ---------------------------------------------------------
@@ -181,6 +260,10 @@ def _law_data(ring, rng, ctx):
     return u, v, w, a, b
 
 
+def _laws(u, v, w, a, b, alpha=None):
+    return {k: transvection_law(k, CTX3, u, v, w, a, b, alpha=alpha) for k in LAWS}
+
+
 def test_laws_hold_on_admissible_data():
     rng = random.Random(23)
     for ring in (QQ, F7, Z9):
@@ -188,31 +271,48 @@ def test_laws_hold_on_admissible_data():
             u, v, w, a, b = _law_data(ring, rng, CTX3)
             lam = Scalar(ring, ring.sample_unit(rng))
             alpha = eval_word(random_word(CTX3, ring, rng, 6)).scale(lam)
-            report = transvection_laws(CTX3, u, v, w, a, b, alpha=alpha)
-            assert report == {k: "equal" for k in ("i", "ii", "iii", "iv", "v")}
+            report = _laws(u, v, w, a, b, alpha=alpha)
+            assert report == {k: "equal" for k in LAWS}
 
 
 def test_laws_skip_reporting():
     u, v, w, a, b = _law_data(QQ, random.Random(1), CTX3)
-    report = transvection_laws(CTX3, _basis(QQ, 7, 0), v, w, a, b)
+    report = _laws(_basis(QQ, 7, 0), v, w, a, b)
     assert all(report[k] == "skipped (q(u) != 0)" for k in ("i", "ii", "iii", "iv"))
 
     bad_v = _basis(QQ, 7, CTX3.v(1))
-    report = transvection_laws(CTX3, _basis(QQ, 7, CTX3.u(1)), bad_v, w, a, b)
+    report = _laws(_basis(QQ, 7, CTX3.u(1)), bad_v, w, a, b)
     assert all(report[k] == "skipped (phi(u,v) != 0)" for k in ("i", "ii", "iii", "iv"))
 
-    report = transvection_laws(CTX3, u, v, w, a, b)
+    report = _laws(u, v, w, a, b)
     assert report["v"] == "skipped (no similitude given)"
 
     shear = Matrix.identity(QQ, 7)
     shear.set(0, 1, 1)
-    report = transvection_laws(CTX3, u, v, w, a, b, alpha=shear)
+    report = _laws(u, v, w, a, b, alpha=shear)
     assert report["v"] == "skipped (alpha is not a similitude)"
 
     three = Matrix.identity(Z9, 7).scale(_s(Z9, 3))
     u9, v9, w9, a9, b9 = _law_data(Z9, random.Random(2), CTX3)
-    report = transvection_laws(CTX3, u9, v9, w9, a9, b9, alpha=three)
+    report = _laws(u9, v9, w9, a9, b9, alpha=three)
     assert report["v"] == "skipped (similitude multiplier is not a unit)"
+
+
+@pytest.mark.parametrize("key", LAWS)
+def test_laws_check_vector_lengths(key):
+    u, v, w, a, b = _law_data(QQ, random.Random(3), CTX3)
+    for bad in (_basis(QQ, 5, 1), _basis(QQ, 9, 1)):
+        for args in ((bad, v, w), (u, bad, w), (u, v, bad)):
+            with pytest.raises(IndexOutOfRange, match="vectors must have length 7"):
+                transvection_law(key, CTX3, *args, a, b)
+    with pytest.raises(RingMismatch):
+        transvection_law(key, CTX3, u, v, w, a, _s(F7, 1))
+
+
+def test_unknown_law_is_refused():
+    u, v, w, a, b = _law_data(QQ, random.Random(4), CTX3)
+    with pytest.raises(UnknownItem):
+        transvection_law("vi", CTX3, u, v, w, a, b)
 
 
 # --- alternating solver ----------------------------------------------------
