@@ -44,9 +44,9 @@ from .generators import (
     F_FAMILIES,
     GenLabel,
     Word,
+    _apply_letter,
     _check_perm,
     _diag_entries,
-    apply_letter,
     apply_word,
     eval_word,
     theta,
@@ -62,7 +62,6 @@ from .quadratic_space import (
     matrix_residue,
     monomial_pattern,
     split_blocks,
-    unitriangular_inverse,
 )
 from .rings import (
     IdealDescriptor,
@@ -206,12 +205,8 @@ def factor_unipotent(gamma: Matrix, upper: bool, ctx: FormContext) -> Word:
     n = ctx.n
     if gamma.dim != n:
         raise IndexOutOfRange(f"block must have size {n}, got {gamma.dim}")
-    for i in range(n):
-        if not R.eq(gamma.rows[i][i], R.one):
-            raise NotUnipotent("diagonal must be all ones")
-        for j in range(i) if upper else range(i + 1, n):
-            if not R.is_zero(gamma.rows[i][j]):
-                raise NotUnipotent("entries on the wrong side of the diagonal")
+    if not _is_unitriangular(gamma, upper):
+        raise NotUnipotent(f"block is not {'upper' if upper else 'lower'} unitriangular")
     letters = []
     cols = range(n, 1, -1) if upper else range(1, n)
     for j in cols:
@@ -279,27 +274,22 @@ def factor_to(alpha: Matrix, ctx: FormContext) -> Word:
     for t in range(1, ctx.dim):
         if not (R.is_zero(alpha.rows[0][t]) and R.is_zero(alpha.rows[t][0])):
             raise NotTOShape("center row and column must be trivial")
-    uu, uv, vu, vv = split_blocks(alpha, ctx)
-    eye = Matrix.identity(R, ctx.n)
-
-    if _is_zero_block(vu) and _is_unitriangular(uu, upper=True):
-        if uu.transpose() @ vv != eye:
+    uu, uv, vu, _ = split_blocks(alpha, ctx)
+    for upper, zero, name in ((True, vu, "gamma^-1 * delta"), (False, uv, "delta * gamma^-1")):
+        if not (_is_zero_block(zero) and _is_unitriangular(uu, upper)):
+            continue
+        # Strip the unipotent factor as letters; the alternating one is left.
+        gamma = factor_unipotent(uu, upper, ctx)
+        rest = alpha.copy()
+        apply_word(rest, gamma.inverse(), left=upper)
+        _, ruv, rvu, rvv = split_blocks(rest, ctx)
+        if rvv != Matrix.identity(R, ctx.n):
             raise NotTOShape("lower block is not the inverse transpose")
-        a = unitriangular_inverse(uu) @ uv
+        a = ruv if upper else rvu
         if not is_alternating(a):
-            raise NotAlternating("gamma^-1 * delta must be alternating")
-        word = factor_unipotent(uu, True, ctx)
-        return Word(ctx, R, list(word.letters) + list(factor_alt(a, True, ctx).letters))
-
-    if _is_zero_block(uv) and _is_unitriangular(uu, upper=False):
-        if uu.transpose() @ vv != eye:
-            raise NotTOShape("lower block is not the inverse transpose")
-        a = vu @ unitriangular_inverse(uu)
-        if not is_alternating(a):
-            raise NotAlternating("delta * gamma^-1 must be alternating")
-        word = factor_alt(a, False, ctx)
-        return Word(ctx, R, list(word.letters) + list(factor_unipotent(uu, False, ctx).letters))
-
+            raise NotAlternating(f"{name} must be alternating")
+        alt = factor_alt(a, upper, ctx)
+        return gamma * alt if upper else alt * gamma
     raise NotTOShape("matrix does not fit either triangular shape")
 
 
@@ -355,13 +345,15 @@ def _peel_pairs(alpha: Matrix, ctx: FormContext):
     left_ops: list[GenLabel] = []
     right_ops: list[GenLabel] = []
 
+    # Every letter is built from in-range indices, and tmt_decompose
+    # validates each one when it builds tau1 and tau2.
     def left(label: GenLabel) -> None:
         left_ops.append(label)
-        apply_letter(ctx, beta, label, left=True)
+        _apply_letter(ctx, beta, label, left=True)
 
     def right(label: GenLabel) -> None:
         right_ops.append(label)
-        apply_letter(ctx, beta, label)
+        _apply_letter(ctx, beta, label)
 
     free = set(range(1, n + 1))
     for k in range(1, n + 1):
@@ -568,8 +560,9 @@ def theta_conjugate(beta, direction: int, ctx: FormContext, m=None):
     if not is_orthogonal(lmat, ctx):
         raise NotOrthogonal("input does not preserve the form")
     conj = lmat.copy()
-    apply_letter(ctx, conj, GenLabel("THETA", param=m, exp=direction), left=True)
-    apply_letter(ctx, conj, GenLabel("THETA", param=m, exp=-direction))
+    scaling = Word(ctx, L, [GenLabel("THETA", param=m, exp=direction)])
+    apply_word(conj, scaling, left=True)
+    apply_word(conj, scaling.inverse())
 
     if spec is not None and direction == 1 and (m is None or m == ctx.n + 1):
         base = spec.x.ring
@@ -666,7 +659,7 @@ def _constant_matrix_over(m: Matrix, P: PolynomialRing) -> Matrix:
     return Matrix(P, rows, copy=False)
 
 
-def check_horrocks_instance(inst: HorrocksInstance, claim=None) -> dict:
+def check_horrocks_instance(inst: HorrocksInstance) -> dict:
     """Verify a splitting certificate and report each check separately.
 
     The verdict records orthogonality of both matrices, that beta uses
@@ -677,8 +670,6 @@ def check_horrocks_instance(inst: HorrocksInstance, claim=None) -> dict:
     constant part is orthogonal and recomposes alpha.  Accepts exactly
     when every recorded check passes.
     """
-    if claim is None:
-        claim = inst.claim
     ctx = inst.witness.ctx
     witnessed = inst.beta.copy()
     apply_word(witnessed, inst.witness, left=True)
@@ -688,8 +679,8 @@ def check_horrocks_instance(inst: HorrocksInstance, claim=None) -> dict:
         "beta_negative_powers": _entry_bounds_ok(inst.beta, low=False),
         "quotient_elementary": witnessed == _laurent_matrix(inst.alpha),
     }
-    if claim is not None:
-        alpha0, word = claim
+    if inst.claim is not None:
+        alpha0, word = inst.claim
         verdict["claim_constant"] = is_orthogonal(alpha0, ctx)
         recomposed = _constant_matrix_over(alpha0, inst.alpha.ring)
         apply_word(recomposed, word)

@@ -4,11 +4,12 @@ The five F families are stored as one term table mapping each family to
 its elementary-matrix terms; gen_F is a direct transcription of that
 table, and the identity suite's mutation self-test perturbs the table to
 prove the test battery would notice a wrong sign.  Letters act on
-matrices through one kernel, apply_letter, as row and column operations
-read from the same table; no letter is multiplied in as a dense matrix.
-Words are sequences of GenLabels; evaluation is left-to-right, and
-letter inverses are closed-form (F(z)^-1 = F(-z)), never numeric
-inversion.
+matrices through one kernel, entered by apply_word, as row and column
+operations read from the same table; no letter is multiplied in as a
+dense matrix.  Words are sequences of GenLabels, each checked once by
+_validate_letter when its Word is built (or loaded from JSON), so the
+kernel checks nothing; evaluation is left-to-right, and letter inverses
+are closed-form (F(z)^-1 = F(-z)), never numeric inversion.
 
 Conventions fixed here and relied on everywhere else:
   * commutator(a, b) = a*b*a^-1*b^-1
@@ -49,7 +50,6 @@ __all__ = [
     "diag_orthogonal",
     "theta",
     "commutator",
-    "apply_letter",
     "apply_word",
     "eval_word",
     "word_shuffle",
@@ -72,12 +72,12 @@ _F_TERMS = {
 }
 
 
-def _slot(ctx: FormContext, name: str, i: int, j) -> int:
+def _slot(n: int, name: str, i: int, j) -> int:
+    """The slot of a term-table name in the odd context: u_i = i, v_i = n + i."""
     if name == "c":
         return 0
-    kind, which = name[0], name[1]
-    idx = i if which == "i" else j
-    return ctx.u(idx) if kind == "u" else ctx.v(idx)
+    idx = i if name[1] == "i" else j
+    return idx if name[0] == "u" else n + idx
 
 
 def _check_f_indices(ctx: FormContext, family: str, i: int, j) -> None:
@@ -106,7 +106,7 @@ def _f_terms(ctx: FormContext, R: Ring, family: str, i: int, j, z) -> list:
     """
     zpow = {1: z, 2: R.mul(z, z)}
     return [
-        (_slot(ctx, row, i, j), _slot(ctx, col, i, j), R.mul(R.from_int(coeff), zpow[power]))
+        (_slot(ctx.n, row, i, j), _slot(ctx.n, col, i, j), R.mul(R.from_int(coeff), zpow[power]))
         for row, col, coeff, power in _F_TERMS[family]
     ]
 
@@ -121,8 +121,7 @@ def gen_F(ctx: FormContext, family: str, i: int, j, z: Scalar) -> Matrix:
     return m
 
 
-def _oe_terms(ctx: FormContext, R: Ring, i: int, j: int, z) -> tuple:
-    """(row, column, coefficient payload) of the two entries oe_ij(z) adds to I."""
+def _check_oe_indices(ctx: FormContext, i: int, j: int) -> None:
     if ctx.odd:
         raise BadIndex("oe generators live in the even context")
     dim = ctx.dim
@@ -130,14 +129,19 @@ def _oe_terms(ctx: FormContext, R: Ring, i: int, j: int, z) -> tuple:
         raise BadIndex(f"oe indices ({i},{j}) outside 1..{dim}")
     if i == j:
         raise BadIndex("oe needs i != j")
-    di, dj = ctx.delta(i - 1) + 1, ctx.delta(j - 1) + 1
-    if j == di:
+    if j == ctx.delta(i - 1) + 1:
         raise BadIndex(f"oe_{{{i},{j}}} is degenerate: j is the delta-partner of i")
+
+
+def _oe_terms(ctx: FormContext, R: Ring, i: int, j: int, z) -> tuple:
+    """(row, column, coefficient payload) of the two entries oe_ij(z) adds to I."""
+    di, dj = ctx.delta(i - 1) + 1, ctx.delta(j - 1) + 1
     return ((i - 1, j - 1, z), (dj - 1, di - 1, R.neg(z)))
 
 
 def gen_oe(ctx: FormContext, i: int, j: int, z: Scalar) -> Matrix:
     """The even-context generator oe_ij(z) = I + e_ij(z) - e_delta(j),delta(i)(z)."""
+    _check_oe_indices(ctx, i, j)
     R = z.ring
     terms = _oe_terms(ctx, R, i, j, z.payload)
     m = Matrix.identity(R, ctx.dim)
@@ -149,7 +153,7 @@ def gen_oe(ctx: FormContext, i: int, j: int, z: Scalar) -> Matrix:
 def _check_perm(ctx: FormContext, pi) -> tuple:
     pi = tuple(int(s) for s in pi)
     dim = ctx.dim
-    if sorted(pi) != list(range(1, dim + 1)):
+    if len(pi) != dim or sorted(pi) != list(range(1, dim + 1)):
         raise BadIndex(f"not a permutation of 1..{dim}: {pi!r}")
     for s in range(1, dim + 1):
         # pi(delta(s)) must equal delta(pi(s)), 1-based on both sides
@@ -265,40 +269,38 @@ class GenLabel:
 
 
 def _validate_letter(ctx: FormContext, ring: Ring, letter: GenLabel) -> None:
+    """Every rule a letter must meet in ctx over ring; Word.__init__ is the only caller."""
     fam = letter.family
-    if fam in F_FAMILIES:
-        _check_f_indices(ctx, fam, letter.i, letter.j)
+    if fam in F_FAMILIES or fam == "OE":
+        if fam == "OE":
+            _check_oe_indices(ctx, letter.i, letter.j)
+        else:
+            _check_f_indices(ctx, fam, letter.i, letter.j)
         if not isinstance(letter.param, Scalar) or letter.param.ring != ring:
             raise RingMismatch(f"{fam} parameter must be a {ring.descriptor} scalar")
-    elif fam == "OE":
-        if ctx.odd:
-            raise BadIndex("OE letters live in the even context")
-        if not isinstance(letter.param, Scalar) or letter.param.ring != ring:
-            raise RingMismatch(f"OE parameter must be a {ring.descriptor} scalar")
     elif fam == "PERM":
         _check_perm(ctx, letter.param)
     elif fam == "DIAG":
         d0, d = letter.param
-        if d0.ring != ring or any(x.ring != ring for x in d):
+        if d0.ring != ring:
             raise RingMismatch("DIAG entries must live in the word's ring")
-    elif fam == "THETA":
-        if not isinstance(ring, (PolynomialRing, LaurentRing)):
-            raise UnsupportedRing("THETA letters need a polynomial or laurent ring")
+        _diag_entries(ctx, d0, d)
+    else:
+        _theta_slots(ctx, ring, letter.param)
         if letter.exp == -1 and not isinstance(ring, LaurentRing):
             raise UnsupportedRing("inverse THETA letters need a laurent ring")
 
 
-def apply_letter(ctx: FormContext, m: Matrix, letter: GenLabel, left: bool = False) -> None:
+def _apply_letter(ctx: FormContext, m: Matrix, letter: GenLabel, left: bool = False) -> None:
     """Multiply m in place by one letter: m <- L*m if left, else m <- m*L.
 
     A letter is the identity plus a few entries, a permutation or a
     diagonal, so it acts by row or column operations at O(dim) ring
     operations per line touched; exp = -1 applies the closed-form inverse.
+    Nothing is checked: the letter met _validate_letter when its Word was
+    built, and m must have ctx's size and the letter's ring.
     """
     R = m.ring
-    if m.dim != ctx.dim:
-        raise IndexOutOfRange(f"dimension mismatch {m.dim} vs {ctx.dim}")
-    _validate_letter(ctx, R, letter)
     fam, e = letter.family, letter.exp
     if fam in F_FAMILIES or fam == "OE":
         z = letter.param.payload if e == 1 else R.neg(letter.param.payload)
@@ -336,14 +338,14 @@ def apply_letter(ctx: FormContext, m: Matrix, letter: GenLabel, left: bool = Fal
     else:
         if fam == "DIAG":
             d0, d = letter.param
-            if e == -1:
-                d = tuple(x.inv() for x in d)
-            scales = _diag_entries(ctx, d0, d)
+            d = [x.payload for x in d]
+            inv = [R.inv(x) for x in d]
+            scales = [d0.payload] + (d + inv if e == 1 else inv + d)
         else:
             x = variable(R).payload
             if e == -1:
                 x = R.inv(x)
-            scales = [x] * _theta_slots(ctx, R, letter.param)
+            scales = [x] * (ctx.n + 1 if letter.param is None else letter.param)
         for s, x in enumerate(scales):
             if left:
                 m.row_scale(s, x)
@@ -394,10 +396,18 @@ def commutator(a: Word, b: Word) -> Word:
 
 
 def apply_word(m: Matrix, word: Word, left: bool = False) -> None:
-    """Multiply m in place by the word's product, on the left or the right."""
-    letters = reversed(word.letters) if left else word.letters
-    for letter in letters:
-        apply_letter(word.ctx, m, letter, left)
+    """Multiply m in place by the word's product, on the left or the right.
+
+    The letter kernel's entry point: m's size and ring are checked here,
+    once per word, and the letters were checked when the word was built.
+    """
+    ctx = word.ctx
+    if m.dim != ctx.dim:
+        raise IndexOutOfRange(f"dimension mismatch {m.dim} vs {ctx.dim}")
+    if m.ring != word.ring:
+        raise RingMismatch(f"{m.ring.descriptor} vs {word.ring.descriptor}")
+    for letter in reversed(word.letters) if left else word.letters:
+        _apply_letter(ctx, m, letter, left)
 
 
 def eval_word(word: Word) -> Matrix:
@@ -426,10 +436,6 @@ def word_shuffle(word: Word) -> Word:
     return Word(word.ctx, word.ring, out)
 
 
-def _scalar_json(x: Scalar):
-    return x.to_json()
-
-
 def _label_to_json(letter: GenLabel):
     fam = letter.family
     obj = {"fam": fam, "exp": letter.exp}
@@ -437,13 +443,13 @@ def _label_to_json(letter: GenLabel):
         obj["i"] = letter.i
         if letter.j is not None:
             obj["j"] = letter.j
-        obj["z"] = _scalar_json(letter.param)
+        obj["z"] = letter.param.to_json()
     elif fam == "PERM":
         obj["perm"] = list(letter.param)
     elif fam == "DIAG":
         d0, d = letter.param
-        obj["d0"] = _scalar_json(d0)
-        obj["d"] = [_scalar_json(x) for x in d]
+        obj["d0"] = d0.to_json()
+        obj["d"] = [x.to_json() for x in d]
     else:
         obj["m"] = letter.param
     return obj

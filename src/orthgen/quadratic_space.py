@@ -200,21 +200,6 @@ class SplitVector:
             "vdp": [R.to_json(x) for x in self.vdp],
         }
 
-    @classmethod
-    def from_json(cls, ring: Ring, obj) -> "SplitVector":
-        if not isinstance(obj, dict):
-            raise JSONFormatError("split vector must be an object")
-        try:
-            n = obj["n"]
-            v0 = ring.from_json(obj["v0"])
-            vp = [ring.from_json(x) for x in obj["vp"]]
-            vdp = [ring.from_json(x) for x in obj["vdp"]]
-        except (KeyError, TypeError) as exc:
-            raise JSONFormatError(f"bad split vector: {exc}") from exc
-        if len(vp) != n or len(vdp) != n:
-            raise JSONFormatError("block lengths disagree with n")
-        return cls(ring, v0, vp, vdp, copy=False)
-
 
 class Matrix:
     """Square matrix of ring payloads with exact arithmetic."""

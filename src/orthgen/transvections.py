@@ -29,7 +29,6 @@ from .errors import (
     BadWitness,
     HypothesisViolated,
     IndexOutOfRange,
-    JSONFormatError,
     NotAUnit,
     NotOrthogonalPair,
     RingMismatch,
@@ -44,7 +43,7 @@ from .quadratic_space import (
     is_orthogonal,
     similitude_multiplier,
 )
-from .rings import Scalar, ring_from_string
+from .rings import Scalar
 
 __all__ = [
     "TransvectionSpec",
@@ -102,19 +101,6 @@ class TransvectionSpec:
             "w": self.w.to_json(),
             "x": self.x.to_json(),
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "TransvectionSpec":
-        if not isinstance(obj, dict):
-            raise JSONFormatError("transvection spec must be an object")
-        try:
-            ring = ring_from_string(obj["ring"])
-            v = SplitVector.from_json(ring, obj["v"])
-            w = SplitVector.from_json(ring, obj["w"])
-            x = Scalar(ring, ring.from_json(obj["x"]))
-        except (KeyError, TypeError) as exc:
-            raise JSONFormatError(f"bad transvection spec: {exc}") from exc
-        return cls(v, w, x)
 
 
 class OrderIdealWitness:

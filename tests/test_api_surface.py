@@ -1,8 +1,10 @@
-"""Every exported name has a user.
+"""Every exported name has a user, and the letter check has one home.
 
 A name in a submodule's __all__ must be re-exported by the package, be
 the console-script target, or be used somewhere in the package source
-beyond its own definition and its __all__ entry.
+beyond its own definition and its __all__ entry.  Letters are checked
+only where a Word is built, and the unchecked letter kernel is reached
+only from the two modules that apply letters.
 """
 
 import ast
@@ -44,3 +46,45 @@ def test_every_exported_name_has_a_caller():
         orphans += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
                     if name not in allowed]
     assert orphans == []
+
+
+def _names(tree):
+    """Every name a module mentions: bare, as an attribute, or imported."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _call_sites(tree, name):
+    """The dotted class/function scope of every call to name in a module."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                sites.append(".".join(scope))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def test_letters_are_checked_only_where_a_word_is_built():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    sites = [(name, site) for name, tree in trees.items()
+             for site in _call_sites(tree, "_validate_letter")]
+    assert sites == [("generators.py", "Word.__init__")]
+    assert not any("apply_letter" in _names(tree) for tree in trees.values())
+    assert sorted(name for name, tree in trees.items()
+                  if "_apply_letter" in _names(tree)) == ["decompose.py", "generators.py"]

@@ -82,20 +82,24 @@ def _replace(obj, path, junk):
 PAYLOADS = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN.glob("*.in"))}
 
 
-@st.composite
-def _requests(draw):
-    """(argv, payload): a verb that reads the payload's kind, and the payload
-    with one or two positions replaced by junk or by another of its values."""
-    name = draw(st.sampled_from(sorted(PAYLOADS)))
-    argv = draw(st.sampled_from(CERTIFICATE_VERBS if name.startswith("horrocks") else MATRIX_VERBS))
-    payload = PAYLOADS[name]
+def _mutate(draw, payload):
+    """payload with one or two positions replaced by junk or by another of its values."""
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(payload))
         path = draw(st.sampled_from(paths))
         donor = draw(st.sampled_from(paths))
         junk = draw(st.sampled_from(JUNK) | st.just(_value_at(payload, donor)))
         payload = _replace(payload, path, junk)
-    return argv, json.dumps(payload)
+    return payload
+
+
+@st.composite
+def _requests(draw):
+    """(argv, payload): a verb that reads the payload's kind, and the payload
+    mutated by _mutate."""
+    name = draw(st.sampled_from(sorted(PAYLOADS)))
+    argv = draw(st.sampled_from(CERTIFICATE_VERBS if name.startswith("horrocks") else MATRIX_VERBS))
+    return argv, json.dumps(_mutate(draw, PAYLOADS[name]))
 
 
 def _run(argv, stdin_text=""):

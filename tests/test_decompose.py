@@ -1,6 +1,7 @@
 """Tests for block factorizations, pair peeling, local lifts, and certificates."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -315,6 +316,21 @@ def test_factor_to_rejects_wrong_shapes():
     bad.rows[1][4] = Fraction(1)
     with pytest.raises(NotAlternating):
         factor_to(bad, CTX3)
+
+
+def test_factor_to_checks_what_the_unipotent_factor_leaves():
+    upper = Matrix.identity(QQ, 7)
+    upper.rows[4][5] = Fraction(1)  # uu = I, but vv is not I
+    lower = Matrix.identity(QQ, 7)
+    lower.rows[2][1] = Fraction(1)  # uu lower unitriangular, vv = I
+    for bad in (upper, lower):
+        with pytest.raises(NotTOShape, match="lower block is not the inverse transpose"):
+            factor_to(bad, CTX3)
+    # vv = gamma^-T, but the block left of gamma is diagonal, not alternating
+    lower.rows[4][5] = Fraction(-1)
+    lower.rows[4][1] = Fraction(1)
+    with pytest.raises(NotAlternating, match=re.escape("delta * gamma^-1 must be alternating")):
+        factor_to(lower, CTX3)
 
 
 # --- tmt_decompose ------------------------------------------------------------
@@ -737,10 +753,11 @@ def test_horrocks_bent_beta_is_judged_by_the_division_free_equation():
 def test_horrocks_claim_failure_modes():
     wp = Word(CTX3, PQ, _poly_letters())
     alpha = eval_word(wp)
-    inst = HorrocksInstance(alpha, Matrix.identity(LQ, 7), _laurent_word(wp))
     flipped = diag_orthogonal(CTX3, _s(QQ, -1),
                               [_s(QQ, 1), _s(QQ, 1), _s(QQ, 1)])
-    verdict = check_horrocks_instance(inst, claim=(flipped, wp))
+    inst = HorrocksInstance(alpha, Matrix.identity(LQ, 7), _laurent_word(wp),
+                            claim=(flipped, wp))
+    verdict = check_horrocks_instance(inst)
     assert verdict["claim_constant"]
     assert not verdict["claim_recomposes"]
     assert not verdict["accepted"]

@@ -1,17 +1,21 @@
 """The sparse letter kernel against the dense letter products it replaced.
 
-apply_letter must give exactly letter_matrix(...) @ M on the left and
-M @ letter_matrix(...) on the right, for every letter family, both
-exponents and every ring kind, and must refuse the letters the dense
-path refuses with the same error class.  The product-free form test
-is_orthogonal is checked against M^T * gram * M == gram.  A counting
-guard keeps dense products out of word evaluation, both decompositions,
-their recomposition, the certificate check, unitriangular inversion and
-the identity suite's transvection, commutator and conjugation items,
-and form tests out of the field decomposition.  The similitude
-multiplier read by pairing columns is checked against the gram
-transport.  The local decomposition, which carries its
-monomial core as PERM and DIAG letters, is checked against the dense
+apply_word on a one-letter word must give exactly letter_matrix(...) @ M
+on the left and M @ letter_matrix(...) on the right, for every letter
+family, both exponents and every ring kind.  A letter the dense path
+refuses is refused with the same error class when its Word is built,
+and a counting guard keeps the letter check at that one place: the
+field decomposition checks each letter of its result once, and its
+recomposition checks none.  apply_word checks the matrix's size and
+ring.  The product-free form test is_orthogonal is checked against
+M^T * gram * M == gram.  A counting guard keeps dense products out of
+word evaluation, both decompositions, their recomposition, the
+certificate check, unitriangular inversion, the triangular block
+factorization and the identity suite's transvection, commutator and
+conjugation items, and form tests out of the field decomposition.  The
+similitude multiplier read by pairing columns is checked against the
+gram transport.  The local decomposition, which carries its monomial
+core as PERM and DIAG letters, is checked against the dense
 formulas for its residual and its recomposition.
 """
 
@@ -23,15 +27,25 @@ from orthgen import decompose, generators
 from orthgen.decompose import (
     HorrocksInstance,
     check_horrocks_instance,
+    factor_to,
     local_decompose,
     tmt_decompose,
 )
-from orthgen.errors import IndexOutOfRange, OrthgenError
+from orthgen.errors import (
+    BadIndex,
+    BadSign,
+    IndexOutOfRange,
+    NotAUnit,
+    NotDeltaCommuting,
+    OrthgenError,
+    RingMismatch,
+    UnsupportedRing,
+)
 from orthgen.generators import (
     F_FAMILIES,
     GenLabel,
     Word,
-    apply_letter,
+    apply_word,
     eval_word,
     gen_F,
     perm_matrix,
@@ -41,6 +55,7 @@ from orthgen.identity_suite import run_suite
 from orthgen.quadratic_space import (
     FormContext,
     Matrix,
+    embed_blocks,
     is_orthogonal,
     similitude_multiplier,
     unitriangular_inverse,
@@ -83,7 +98,7 @@ def _letters(ctx, ring, rng):
 
 def _kernel(ctx, m, letter, left):
     out = m.copy()
-    apply_letter(ctx, out, letter, left)
+    apply_word(out, Word(ctx, m.ring, [letter]), left)
     return out
 
 
@@ -139,21 +154,22 @@ def _bad_letters():
     LQ = ring_from_string("laurent:Q")
     two, one = Scalar(Z9, 2), Scalar(Z9, 1)
     return [
-        ("diag center squares to 4", ODD, Z9, GenLabel("DIAG", param=(two, (one, one, one)))),
-        ("diag non-unit", ODD, Z9, GenLabel("DIAG", param=(one, (one, Scalar(Z9, 3), one)))),
+        ("diag center squares to 4", ODD, Z9, GenLabel("DIAG", param=(two, (one, one, one))), BadSign),
+        ("diag non-unit", ODD, Z9, GenLabel("DIAG", param=(one, (one, Scalar(Z9, 3), one))), NotAUnit),
         ("diag non-unit inverse", ODD, Z9,
-         GenLabel("DIAG", param=(one, (one, one, Scalar(Z9, 6))), exp=-1)),
-        ("diag short", ODD, Z9, GenLabel("DIAG", param=(one, (one, one)))),
-        ("diag even", EVEN, Z9, GenLabel("DIAG", param=(one, (one, one, one)))),
-        ("theta inverse over poly", ODD, PQ, GenLabel("THETA", param=4, exp=-1)),
-        ("theta over Z9", ODD, Z9, GenLabel("THETA", param=4)),
-        ("theta slot count", ODD, LQ, GenLabel("THETA", param=8)),
-        ("perm not delta-commuting", ODD, Z9, GenLabel("PERM", param=(1, 3, 2, 4, 5, 6, 7))),
-        ("perm not a permutation", ODD, Z9, GenLabel("PERM", param=(1, 1, 2, 4, 5, 6, 7))),
-        ("oe degenerate", EVEN, Z9, GenLabel("OE", 1, 4, one)),
-        ("oe in odd context", ODD, Z9, GenLabel("OE", 1, 2, one)),
-        ("f index", ODD, Z9, GenLabel("F3", 2, 2, one)),
-        ("f ring", ODD, Z9, GenLabel("F1", 1, None, Scalar(PQ, PQ.one))),
+         GenLabel("DIAG", param=(one, (one, one, Scalar(Z9, 6))), exp=-1), NotAUnit),
+        ("diag short", ODD, Z9, GenLabel("DIAG", param=(one, (one, one))), BadIndex),
+        ("diag even", EVEN, Z9, GenLabel("DIAG", param=(one, (one, one, one))), BadIndex),
+        ("theta inverse over poly", ODD, PQ, GenLabel("THETA", param=4, exp=-1), UnsupportedRing),
+        ("theta over Z9", ODD, Z9, GenLabel("THETA", param=4), UnsupportedRing),
+        ("theta slot count", ODD, LQ, GenLabel("THETA", param=8), BadIndex),
+        ("perm not delta-commuting", ODD, Z9, GenLabel("PERM", param=(1, 3, 2, 4, 5, 6, 7)),
+         NotDeltaCommuting),
+        ("perm not a permutation", ODD, Z9, GenLabel("PERM", param=(1, 1, 2, 4, 5, 6, 7)), BadIndex),
+        ("oe degenerate", EVEN, Z9, GenLabel("OE", 1, 4, one), BadIndex),
+        ("oe in odd context", ODD, Z9, GenLabel("OE", 1, 2, one), BadIndex),
+        ("f index", ODD, Z9, GenLabel("F3", 2, 2, one), BadIndex),
+        ("f ring", ODD, Z9, GenLabel("F1", 1, None, Scalar(PQ, PQ.one)), RingMismatch),
     ]
 
 
@@ -166,13 +182,47 @@ def _raised(fn):
 
 
 @pytest.mark.parametrize(
-    "ctx, ring, letter", [pytest.param(*case[1:], id=case[0]) for case in _bad_letters()])
-def test_bad_letters_raise_like_the_dense_path(ctx, ring, letter):
-    dense = _raised(lambda: letter_matrix(ctx, ring, letter))
-    assert dense is not None
+    "ctx, ring, letter, expected", [pytest.param(*case[1:], id=case[0]) for case in _bad_letters()])
+def test_bad_letters_raise_like_the_dense_path(ctx, ring, letter, expected):
+    assert _raised(lambda: letter_matrix(ctx, ring, letter)) is expected
+    assert _raised(lambda: Word(ctx, ring, [letter])) is expected
     for left in (True, False):
         m = Matrix.identity(ring, ctx.dim)
-        assert _raised(lambda: apply_letter(ctx, m, letter, left)) is dense
+        assert _raised(lambda: apply_word(m, Word(ctx, ring, [letter]), left)) is expected
+        assert m == Matrix.identity(ring, ctx.dim)
+
+
+def test_apply_word_checks_the_matrix_size_then_its_ring():
+    Z9, F5 = ring_from_string("Zpk:3:2"), ring_from_string("Fp:5")
+    word = Word(ODD, Z9, [GenLabel("F1", 1, None, Scalar(Z9, 2))])
+    for left in (True, False):
+        for ring, dim, error in ((Z9, 8, IndexOutOfRange), (F5, 8, IndexOutOfRange),
+                                 (F5, 7, RingMismatch), (Z9, 7, None)):
+            assert _raised(lambda: apply_word(Matrix.identity(ring, dim), word, left)) is error
+    with pytest.raises(RingMismatch):
+        apply_word(Matrix.identity(F5, 7), Word(ODD, Z9))
+
+
+def test_each_letter_is_checked_once_when_its_word_is_built(monkeypatch):
+    F5 = ring_from_string("Fp:5")
+    ctx = FormContext(12)
+    rng = random.Random(12)
+    alpha = eval_word(random_word(ctx, F5, rng, 48)) @ perm_matrix(ctx, F5, random_perm(ctx, rng))
+    checks = [0]
+    plain = generators._validate_letter
+
+    def counted(*args):
+        checks[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(generators, "_validate_letter", counted)
+    dec = tmt_decompose(alpha, ctx)
+    # tau1, tau2 and the PERM and DIAG letters of the certified core
+    assert checks[0] == len(dec.tau1) + len(dec.tau2) + 2
+    assert len(dec.tau1) + len(dec.tau2) > 48
+    checks[0] = 0
+    assert dec.recompose() == alpha
+    assert checks[0] == 0
 
 
 def _two_products(m, ctx):
@@ -350,6 +400,19 @@ def test_letters_never_take_a_dense_product(monkeypatch):
     unitriangular_inverse(upper)
     unitriangular_inverse(upper.transpose())
     assert calls[0] == 0
+    block_ctx = FormContext(6)
+    alt = Matrix.zeros(F5, 6)
+    alt.rows[1][4], alt.rows[4][1] = F5.one, F5.neg(F5.one)
+    for lower in (False, True):
+        # diag(1, gamma, gamma^-T) after (upper) or before (lower) alt's block
+        gamma = upper.transpose() if lower else upper
+        shape = embed_blocks(block_ctx, F5, uu=gamma, uv=None if lower else gamma @ alt,
+                             vu=alt @ gamma if lower else None,
+                             vv=unitriangular_inverse(gamma.transpose()))
+        calls[0] = 0
+        word = factor_to(shape, block_ctx)
+        assert calls[0] == 0
+        assert eval_word(word) == shape
     # One sample of each law, of the w-split and of the commutator and
     # conjugation items: transvections and letters only, never a product.
     for item in ("L2.3.i", "L2.3.ii", "L2.3.iii", "L2.3.iv", "L2.3.v",
