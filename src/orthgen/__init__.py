@@ -24,7 +24,6 @@ from .rings import (
 from .quadratic_space import (
     FormContext,
     Matrix,
-    SplitVector,
     Vector,
     is_orthogonal,
     matrices_congruent,
@@ -49,7 +48,6 @@ from .transvections import (
     OrderIdealWitness,
     TransvectionSpec,
     solve_alternating,
-    transvection,
     transvection_law,
 )
 from .decompose import (
@@ -85,7 +83,6 @@ __all__ = [
     "PrimeField",
     "RationalField",
     "Scalar",
-    "SplitVector",
     "TmtDecomposition",
     "TransvectionSpec",
     "TruncatedRing",
@@ -117,7 +114,6 @@ __all__ = [
     "theta",
     "theta_conjugate",
     "tmt_decompose",
-    "transvection",
     "transvection_law",
     "variable",
     "word_from_json",

@@ -73,7 +73,7 @@ from .rings import (
     lift_scalar,
     residue_ring,
 )
-from .transvections import TransvectionSpec, is_alternating, transvection, transvection_matrix
+from .transvections import TransvectionSpec, is_alternating, transvection_matrix
 
 __all__ = [
     "TmtDecomposition",
@@ -167,7 +167,8 @@ class LocalDecomposition:
     def recompose(self) -> Matrix:
         core = mo_split(self.mu, self.tau1.ctx)
         out = self.residual.copy()
-        apply_word(out, self.tau1 * core * self.tau2, left=True)
+        for word in (self.tau2, core, self.tau1):
+            apply_word(out, word, left=True)
         return out
 
     def to_json(self) -> dict:
@@ -489,7 +490,8 @@ def local_decompose(alpha: Matrix, ctx: FormContext) -> LocalDecomposition:
     core = _lift_word(mo_split(reduced.mu, ctx), R)
     tau2 = _lift_word(reduced.tau2, R)
     residual = alpha.copy()
-    apply_word(residual, (tau1 * core * tau2).inverse(), left=True)
+    for word in (tau1, core, tau2):
+        apply_word(residual, word.inverse(), left=True)
     if not is_orthogonal(residual, ctx):
         raise DecompositionError("residual lost orthogonality")
     if not matrices_congruent(residual, Matrix.identity(R, ctx.dim), IdealDescriptor("max")):
@@ -540,14 +542,16 @@ def theta_conjugate(beta, direction: int, ctx: FormContext, m=None):
     spec = None
     if isinstance(beta, TransvectionSpec):
         spec = beta
+        if not (ctx.odd and spec.ctx.odd and spec.ctx.n == ctx.n):
+            raise IndexOutOfRange("spec rank disagrees with the context")
         base = spec.x.ring
         if not isinstance(base, PolynomialRing):
             raise UnsupportedRing("transvection input must live over a polynomial ring")
-        if not (base.is_zero(spec.v.v0) and base.is_zero(spec.w.v0)):
+        if not (base.is_zero(spec.v.comps[0]) and base.is_zero(spec.w.comps[0])):
             raise HypothesisViolated("transvection blocks must avoid the center")
         if spec.x.payload and not base.base.is_zero(spec.x.payload[0]):
             raise HypothesisViolated("transvection parameter must be divisible by X")
-        mat = transvection(spec, ctx)
+        mat = transvection_matrix(spec)
     elif isinstance(beta, Word):
         mat = eval_word(beta)
     elif isinstance(beta, Matrix):
@@ -568,9 +572,9 @@ def theta_conjugate(beta, direction: int, ctx: FormContext, m=None):
         base = spec.x.ring
         f = Scalar(base, base.make(list(spec.x.payload[1:]))) if spec.x.payload else Scalar(base, base.zero)
         th = theta(ctx, L, m)
-        vL = th.apply(_laurent_vector(spec.v.to_vector(ctx)))
-        wL = th.apply(_laurent_vector(spec.w.to_vector(ctx)))
-        if conj != transvection_matrix(ctx, vL, wL, laurent_of_poly(f)):
+        vL = th.apply(_laurent_vector(spec.v))
+        wL = th.apply(_laurent_vector(spec.w))
+        if conj != transvection_matrix(TransvectionSpec(ctx, vL, wL, laurent_of_poly(f))):
             raise DecompositionError("conjugation identity failed")
     return conj, _entry_bounds_ok(conj, low=True)
 

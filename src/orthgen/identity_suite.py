@@ -36,7 +36,6 @@ from .generators import (
 from .quadratic_space import (
     FormContext,
     Matrix,
-    SplitVector,
     Vector,
     embed_blocks,
     is_orthogonal,
@@ -59,7 +58,6 @@ from .transvections import (
     is_alternating,
     solve_alternating,
     split_w_pair,
-    transvection,
     transvection_law,
     transvection_matrix,
     transvection_split3,
@@ -290,11 +288,11 @@ def _item_l46(rng, ring, n):
     vp = Vector(ring, [ring.sample(rng) for _ in range(n)])
     vdp = g1.apply(vp)
     wp = g2.apply(vdp)
-    v = SplitVector(ring, _nil_square(ring, rng), vp.comps, vdp.comps)
-    w = SplitVector(ring, _nil_square(ring, rng), wp.comps, [ring.zero] * n)
-    spec = TransvectionSpec(v, w, _sample(ring, rng))
-    m1, m2, m3 = transvection_split3(spec, ctx)
-    if m1 @ m2 @ m3 == transvection(spec, ctx):
+    v = Vector(ring, [_nil_square(ring, rng)] + vp.comps + vdp.comps, copy=False)
+    w = Vector(ring, [_nil_square(ring, rng)] + wp.comps + [ring.zero] * n, copy=False)
+    spec = TransvectionSpec(ctx, v, w, _sample(ring, rng))
+    m1, m2, m3 = transvection_split3(spec)
+    if m1 @ m2 @ m3 == transvection_matrix(spec):
         return None
     return _fail(ring, n, spec=spec.to_json())
 
@@ -308,8 +306,8 @@ def _item_t48(rng, ring, n):
     wp = Vector(ring, [ring.sample(rng) for _ in range(n)])
     wdp = g2.apply(vp)
     wdp.comps[0] = ring.add(wdp.comps[0], ring.neg(vdp.dot(wp).payload))
-    v = SplitVector(ring, ring.zero, vp.comps, vdp.comps)
-    w = SplitVector(ring, ring.zero, wp.comps, wdp.comps)
+    v = Vector(ring, [ring.zero] + vp.comps + vdp.comps, copy=False)
+    w = Vector(ring, [ring.zero] + wp.comps + wdp.comps, copy=False)
     combiners = [Scalar(ring, ring.zero)] + [_sample(ring, rng) for _ in range(n)]
     a_col = Vector(ring, [ring.zero] + list(vdp.comps))
     b_col = Vector(ring, [ring.zero] + list(vp.comps))
@@ -321,14 +319,13 @@ def _item_t48(rng, ring, n):
     alpha = solve_alternating(b_col, a_col, witness)
     w1, w2 = split_w_pair(v, w, y, alpha)
     x1 = _sample(ring, rng)
-    vv = v.to_vector(ctx)
-    whole = transvection_matrix(ctx, vv, w.to_vector(ctx).scale(y), x1)
-    lhs = transvection_matrix(ctx, vv, w.to_vector(ctx), x1 * y)
-    split = transvection_matrix(ctx, vv, w1.to_vector(ctx), x1)
-    apply_transvection(ctx, split, vv, w2.to_vector(ctx), x1)
+    whole = transvection_matrix(TransvectionSpec(ctx, v, w.scale(y), x1))
+    lhs = transvection_matrix(TransvectionSpec(ctx, v, w, x1 * y))
+    split = transvection_matrix(TransvectionSpec(ctx, v, w1, x1))
+    apply_transvection(split, TransvectionSpec(ctx, v, w2, x1))
     if lhs == whole == split:
         return None
-    return _fail(ring, n, v=_vec_json(vv), w=_vec_json(w.to_vector(ctx)),
+    return _fail(ring, n, v=_vec_json(v), w=_vec_json(w),
                  y=ring.to_json(y.payload), x1=ring.to_json(x1.payload))
 
 
@@ -400,11 +397,10 @@ def _item_l51(rng, P, n):
         t = rng.randrange(1, 2 * n + 1)
 
     def col(idx):
-        comps = [Scalar(P, P.make([frame.rows[r][idx]])) for r in range(ctx.dim)]
-        return SplitVector.from_scalars(P, comps[0], comps[1:n + 1], comps[n + 1:])
+        return Vector(P, [P.make([frame.rows[r][idx]]) for r in range(ctx.dim)], copy=False)
 
     f = Scalar(P, P.make([base.sample(rng) for _ in range(1 + rng.randrange(4))]))
-    spec = TransvectionSpec(col(s), col(t), variable(P) * f)
+    spec = TransvectionSpec(ctx, col(s), col(t), variable(P) * f)
     try:
         _, flag = theta_conjugate(spec, 1, ctx)
     except DecompositionError:

@@ -24,7 +24,6 @@ from .rings import IdealDescriptor, Ring, Scalar, residue_ring, residue_scalar, 
 __all__ = [
     "Matrix",
     "Vector",
-    "SplitVector",
     "FormContext",
     "is_orthogonal",
     "similitude_multiplier",
@@ -37,6 +36,15 @@ __all__ = [
     "embed_blocks",
     "split_blocks",
 ]
+
+
+def _payload(ring: Ring, x):
+    """x as a payload of ring: a Scalar's own after a ring check, else ring.from_int(x)."""
+    if isinstance(x, Scalar):
+        if x.ring != ring:
+            raise RingMismatch(f"{x.ring.descriptor} vs {ring.descriptor}")
+        return x.payload
+    return ring.from_int(x)
 
 
 class Vector:
@@ -62,15 +70,7 @@ class Vector:
 
     @classmethod
     def from_scalars(cls, ring: Ring, items) -> "Vector":
-        comps = []
-        for x in items:
-            if isinstance(x, Scalar):
-                if x.ring != ring:
-                    raise RingMismatch(f"{x.ring.descriptor} vs {ring.descriptor}")
-                comps.append(x.payload)
-            else:
-                comps.append(ring.from_int(x))
-        return cls(ring, comps, copy=False)
+        return cls(ring, [_payload(ring, x) for x in items], copy=False)
 
     def __len__(self) -> int:
         return len(self.comps)
@@ -138,69 +138,6 @@ class Vector:
         return all(R.is_zero(c) for c in self.comps)
 
 
-class SplitVector:
-    """Odd-space column given by its blocks (v0, vprime, vdprime)."""
-
-    __slots__ = ("ring", "v0", "vp", "vdp")
-
-    def __init__(self, ring: Ring, v0, vp, vdp, copy: bool = True) -> None:
-        if len(vp) != len(vdp) or not vp:
-            raise IndexOutOfRange("vp and vdp must be nonempty blocks of equal length")
-        self.ring = ring
-        self.v0 = v0
-        self.vp = list(vp) if copy else vp
-        self.vdp = list(vdp) if copy else vdp
-
-    @property
-    def n(self) -> int:
-        return len(self.vp)
-
-    @classmethod
-    def from_scalars(cls, ring: Ring, v0, vp, vdp) -> "SplitVector":
-        def pay(x):
-            if isinstance(x, Scalar):
-                if x.ring != ring:
-                    raise RingMismatch(f"{x.ring.descriptor} vs {ring.descriptor}")
-                return x.payload
-            return ring.from_int(x)
-
-        return cls(ring, pay(v0), [pay(x) for x in vp], [pay(x) for x in vdp], copy=False)
-
-    def to_vector(self, ctx: "FormContext") -> Vector:
-        if not ctx.odd or ctx.n != self.n:
-            raise IndexOutOfRange("split blocks need an odd context of matching size")
-        return Vector(self.ring, [self.v0] + self.vp + self.vdp)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SplitVector)
-            and other.ring == self.ring
-            and self.ring.eq(other.v0, self.v0)
-            and len(other.vp) == len(self.vp)
-            and all(self.ring.eq(a, b) for a, b in zip(other.vp, self.vp))
-            and all(self.ring.eq(a, b) for a, b in zip(other.vdp, self.vdp))
-        )
-
-    def __repr__(self) -> str:
-        sh = self.ring.show
-        return (
-            f"({sh(self.v0)} | "
-            + ", ".join(sh(c) for c in self.vp)
-            + " | "
-            + ", ".join(sh(c) for c in self.vdp)
-            + ")"
-        )
-
-    def to_json(self) -> dict:
-        R = self.ring
-        return {
-            "n": self.n,
-            "v0": R.to_json(self.v0),
-            "vp": [R.to_json(x) for x in self.vp],
-            "vdp": [R.to_json(x) for x in self.vdp],
-        }
-
-
 class Matrix:
     """Square matrix of ring payloads with exact arithmetic."""
 
@@ -224,17 +161,7 @@ class Matrix:
 
     @classmethod
     def from_scalars(cls, ring: Ring, rows) -> "Matrix":
-        out = []
-        for r in rows:
-            row = []
-            for x in r:
-                if isinstance(x, Scalar):
-                    if x.ring != ring:
-                        raise RingMismatch(f"{x.ring.descriptor} vs {ring.descriptor}")
-                    row.append(x.payload)
-                else:
-                    row.append(ring.from_int(x))
-            out.append(row)
+        out = [[_payload(ring, x) for x in r] for r in rows]
         d = len(out)
         if any(len(r) != d for r in out):
             raise IndexOutOfRange("matrix rows must all have the full dimension")
@@ -248,12 +175,7 @@ class Matrix:
         return Scalar(self.ring, self.rows[i][j])
 
     def set(self, i: int, j: int, x) -> None:
-        if isinstance(x, Scalar):
-            if x.ring != self.ring:
-                raise RingMismatch(f"{x.ring.descriptor} vs {self.ring.descriptor}")
-            self.rows[i][j] = x.payload
-        else:
-            self.rows[i][j] = self.ring.from_int(x)
+        self.rows[i][j] = _payload(self.ring, x)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -56,6 +56,11 @@ _MR_LIMIT = 3317044064679887385961981
 # p^k and 1/2 mod p^k for a descriptor like Zpk:3:1000000000 would stall.
 _MAX_MODULUS_BITS = 4096
 
+# A Laurent scalar read from JSON may not have |offset| above this: sums
+# allocate a dense coefficient list spanning both offsets, so an offset
+# like 10**40 would overflow and one near 2**30 would take gigabytes.
+_MAX_LAURENT_OFFSET = 4096
+
 
 def _is_prime(p: int) -> bool:
     if p >= _MR_LIMIT:
@@ -584,6 +589,8 @@ class LaurentRing(Ring):
         if not isinstance(obj, dict) or set(obj) != {"offset", "coeffs"}:
             raise JSONFormatError(f"bad Laurent scalar {obj!r}")
         o = _int_from_json(obj["offset"], "offset")
+        if abs(o) > _MAX_LAURENT_OFFSET:
+            raise JSONFormatError(f"offset {o} exceeds the ceiling {_MAX_LAURENT_OFFSET}")
         coeffs = obj["coeffs"]
         if not isinstance(coeffs, list):
             raise JSONFormatError("coeffs must be a list")

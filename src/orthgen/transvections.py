@@ -11,10 +11,12 @@ letters are transvections on the nose: F1_i(z) = E(e_ui, -e_0, z),
 F2_i(z) = E(e_vi, -e_0, z), and in the even space
 oe_ij(z) = E(e_i, e_delta(j), z).
 
-apply_transvection multiplies a matrix by E(v, w, x) in place as two
-rank-1 line updates.  transvection_matrix and the laws go through it,
-so they build no transvection from outer products and multiply none in
-as a dense matrix.
+A TransvectionSpec checks those hypotheses once, when it is built.
+apply_transvection, the kernel's one entry, multiplies a matrix by its
+E(v, w, x) in place as two rank-1 line updates and checks only the
+matrix.  transvection_matrix and the laws go through it, so they build
+no transvection from outer products and multiply none in as a dense
+matrix.
 
 The three-factor splitting (transvection_split3) assumes the w block
 shape (w0, w', 0); its border rows carry the sign of the normalization
@@ -37,7 +39,6 @@ from .errors import (
 from .quadratic_space import (
     FormContext,
     Matrix,
-    SplitVector,
     Vector,
     embed_blocks,
     is_orthogonal,
@@ -48,7 +49,6 @@ from .rings import Scalar
 __all__ = [
     "TransvectionSpec",
     "OrderIdealWitness",
-    "transvection",
     "transvection_matrix",
     "apply_transvection",
     "transvection_law",
@@ -60,45 +60,42 @@ __all__ = [
 
 
 class TransvectionSpec:
-    """Data (v, w, x) with the standing hypotheses q(v) = phi(v,w) = 0."""
+    """Data (v, w, x) of E(v, w, x) over ctx, checked once when built.
 
-    __slots__ = ("v", "w", "x")
+    v and w are plain Vectors of length ctx.dim, over any ring, with
+    q(v) = 0 and phi(v, w) = 0; x is a Scalar over the same ring.  The
+    kernel and everything built on it trust a spec and re-check nothing,
+    so its vectors are not to be changed afterwards.
+    """
 
-    def __init__(self, v: SplitVector, w: SplitVector, x: Scalar) -> None:
-        if v.ring != w.ring or v.ring != x.ring:
-            raise RingMismatch("spec blocks must share one ring")
-        if v.n != w.n:
-            raise IndexOutOfRange(f"rank mismatch: {v.n} vs {w.n}")
-        ctx = FormContext(v.n)
-        vv, wv = v.to_vector(ctx), w.to_vector(ctx)
-        if not ctx.quad(vv) == 0:
+    __slots__ = ("ctx", "v", "w", "x")
+
+    def __init__(self, ctx: FormContext, v: Vector, w: Vector, x: Scalar) -> None:
+        R = v.ring
+        if w.ring != R or x.ring != R:
+            raise RingMismatch("transvection data must share one ring")
+        _check_lengths(ctx, v, w)
+        if not ctx.quad(v) == 0:
             raise HypothesisViolated("q(v) must vanish")
-        if not ctx.phi(vv, wv) == 0:
+        if not ctx.phi(v, w) == 0:
             raise HypothesisViolated("phi(v, w) must vanish")
+        self.ctx = ctx
         self.v = v
         self.w = w
         self.x = x
 
-    @property
-    def n(self) -> int:
-        return self.v.n
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TransvectionSpec)
-            and other.v == self.v
-            and other.w == self.w
-            and other.x == self.x
-        )
-
     def __repr__(self) -> str:
-        return f"TransvectionSpec(v={self.v!r}, w={self.w!r}, x={self.x!r})"
+        ctx = self.ctx
+        return f"TransvectionSpec(n={ctx.n}, odd={ctx.odd}, v={self.v!r}, w={self.w!r}, x={self.x!r})"
 
     def to_json(self) -> dict:
+        R = self.x.ring
         return {
-            "ring": self.x.ring.descriptor,
-            "v": self.v.to_json(),
-            "w": self.w.to_json(),
+            "ring": R.descriptor,
+            "n": self.ctx.n,
+            "odd": self.ctx.odd,
+            "v": [R.to_json(c) for c in self.v.comps],
+            "w": [R.to_json(c) for c in self.w.comps],
             "x": self.x.to_json(),
         }
 
@@ -126,44 +123,32 @@ class OrderIdealWitness:
         self.sources = sources
 
 
-def _check_transvection(ctx: FormContext, v: Vector, w: Vector, x: Scalar) -> None:
-    R = v.ring
-    if w.ring != R or x.ring != R:
-        raise RingMismatch("transvection data must share one ring")
-    _check_lengths(ctx, v, w)
-    if not ctx.quad(v) == 0:
-        raise HypothesisViolated("q(v) must vanish")
-    if not ctx.phi(v, w) == 0:
-        raise HypothesisViolated("phi(v, w) must vanish")
-
-
 def _check_lengths(ctx: FormContext, *vectors: Vector) -> None:
     if any(len(t) != ctx.dim for t in vectors):
         raise IndexOutOfRange(f"vectors must have length {ctx.dim}")
 
 
-def apply_transvection(ctx: FormContext, m: Matrix, v: Vector, w: Vector, x: Scalar,
-                       left: bool = False) -> None:
+def apply_transvection(m: Matrix, spec: TransvectionSpec, left: bool = False) -> None:
     """Multiply m in place by E(v, w, x): m <- E*m if left, else m <- m*E.
 
     E = I + v*a^T + w*b^T with a = x*wt - x^2*q(w)*vt and b = -x*vt, so
     E*m adds v*(a^T m) + w*(b^T m) to m's rows and m*E adds
     (m v)*a^T + (m w)*b^T to its columns: two rank-1 updates over the
     nonzero support of v and w, O(dim) ring operations per line touched.
-    Requires q(v) = 0 and phi(v, w) = 0, as transvection_matrix does.
+    The spec was checked when built; only m's size and ring are checked.
     """
-    _check_transvection(ctx, v, w, x)
-    R = m.ring
-    if v.ring != R:
-        raise RingMismatch(f"{R.descriptor} vs {v.ring.descriptor}")
+    ctx, v, w = spec.ctx, spec.v, spec.w
+    R = v.ring
     if m.dim != ctx.dim:
         raise IndexOutOfRange(f"dimension mismatch {m.dim} vs {ctx.dim}")
+    if m.ring != R:
+        raise RingMismatch(f"{m.ring.descriptor} vs {R.descriptor}")
     add, mul, is_zero = R.add, R.mul, R.is_zero
 
     def support(comps):
         return [(k, c) for k, c in enumerate(comps) if not is_zero(c)]
 
-    z = x.payload
+    z = spec.x.payload
     vt, wt = ctx.tilde(v).comps, ctx.tilde(w).comps
     a = [mul(z, t) for t in wt]
     corr = R.neg(mul(mul(z, z), ctx.quad(w).payload))
@@ -208,17 +193,11 @@ def apply_transvection(ctx: FormContext, m: Matrix, v: Vector, w: Vector, x: Sca
                         row[k] = add(row[k], mul(s, c))
 
 
-def transvection_matrix(ctx: FormContext, v: Vector, w: Vector, x: Scalar) -> Matrix:
-    """E(v, w, x) as a matrix; requires q(v) = 0 and phi(v, w) = 0."""
-    m = Matrix.identity(v.ring, ctx.dim)
-    apply_transvection(ctx, m, v, w, x, left=True)
+def transvection_matrix(spec: TransvectionSpec) -> Matrix:
+    """E(v, w, x) as a matrix: the identity run through apply_transvection."""
+    m = Matrix.identity(spec.x.ring, spec.ctx.dim)
+    apply_transvection(m, spec, left=True)
     return m
-
-
-def transvection(spec: TransvectionSpec, ctx: FormContext) -> Matrix:
-    if not ctx.odd or ctx.n != spec.n:
-        raise IndexOutOfRange("spec rank disagrees with the context")
-    return transvection_matrix(ctx, spec.v.to_vector(ctx), spec.w.to_vector(ctx), spec.x)
 
 
 _LAW_KEYS = ("i", "ii", "iii", "iv", "v")
@@ -250,21 +229,22 @@ def transvection_law(key, ctx, u, v, w, a, b, alpha=None) -> str:
     ident = Matrix.identity(R, ctx.dim)
 
     def product(*factors):
-        out = transvection_matrix(ctx, *factors[0])
+        """The product of the factors' E(v, w, x), one spec per factor."""
+        out = transvection_matrix(TransvectionSpec(ctx, *factors[0]))
         for f in factors[1:]:
-            apply_transvection(ctx, out, *f)
+            apply_transvection(out, TransvectionSpec(ctx, *f))
         return out
 
     if key == "i":
-        return _law(base, lambda: is_orthogonal(transvection_matrix(ctx, u, v, a), ctx)
-                    and transvection_matrix(ctx, u, u, a) == ident)
+        return _law(base, lambda: is_orthogonal(product((u, v, a)), ctx)
+                    and product((u, u, a)) == ident)
     if key == "ii":
-        return _law(base, lambda: transvection_matrix(ctx, u, v, a * b)
-                    == transvection_matrix(ctx, u.scale(a), v, b)
-                    == transvection_matrix(ctx, u, v.scale(a), b))
+        return _law(base, lambda: product((u, v, a * b))
+                    == product((u.scale(a), v, b))
+                    == product((u, v.scale(a), b)))
     if key == "iii":
         return _law(base + [(ctx.phi(u, w) == 0, "phi(u,w) != 0")],
-                    lambda: product((u, v, a), (u, w, a)) == transvection_matrix(ctx, u, v + w, a))
+                    lambda: product((u, v, a), (u, w, a)) == product((u, v + w, a)))
     if key == "iv":
         # Additivity in the first slot picks up a correction transvection
         # inside the isotropic plane spanned by u and v.
@@ -291,9 +271,10 @@ def transvection_law(key, ctx, u, v, w, a, b, alpha=None) -> str:
     # the inverse by multiplying both sides by alpha on the right.
     def check_v() -> bool:
         lhs = alpha.copy()
-        apply_transvection(ctx, lhs, u, v, b)
+        apply_transvection(lhs, TransvectionSpec(ctx, u, v, b))
         rhs = alpha.copy()
-        apply_transvection(ctx, rhs, alpha.apply(u), alpha.apply(v), mult_inv * b, left=True)
+        moved = TransvectionSpec(ctx, alpha.apply(u), alpha.apply(v), mult_inv * b)
+        apply_transvection(rhs, moved, left=True)
         return lhs == rhs
 
     return _law(base, check_v)
@@ -338,23 +319,22 @@ def solve_alternating(v: Vector, w: Vector, witness: OrderIdealWitness) -> Matri
     return Matrix(R, rows, copy=False)
 
 
-def _split3_blocks(ctx: FormContext, spec: TransvectionSpec):
-    R = spec.x.ring
+def _split3_blocks(spec: TransvectionSpec):
+    ctx, x = spec.ctx, spec.x
+    R = x.ring
     n = ctx.n
-    x = spec.x
-    v0 = Scalar(R, spec.v.v0)
-    w0 = Scalar(R, spec.w.v0)
-    vp = Vector(R, spec.v.vp)
-    vdp = Vector(R, spec.v.vdp)
-    wp = Vector(R, spec.w.vp)
+    v, w = spec.v.comps, spec.w.comps
+    v0, w0 = spec.v[0], spec.w[0]
+    vp, vdp = Vector(R, v[1:n + 1]), Vector(R, v[n + 1:])
+    wp = Vector(R, w[1:n + 1])
 
     zero = Scalar(R, R.zero)
     checks = [
-        (all(R.is_zero(c) for c in spec.w.vdp), "w'' must vanish"),
+        (all(R.is_zero(c) for c in w[n + 1:]), "w'' must vanish"),
         (v0 * v0 == zero, "v0^2 must vanish"),
         (w0 * w0 == zero, "w0^2 must vanish"),
         (v0 * w0 == zero, "v0*w0 must vanish"),
-        (ctx.quad(spec.w.to_vector(ctx)) == zero, "q(w) must vanish"),
+        (ctx.quad(spec.w) == zero, "q(w) must vanish"),
     ]
     for ok, why in checks:
         if not ok:
@@ -369,13 +349,14 @@ def _split3_blocks(ctx: FormContext, spec: TransvectionSpec):
     return alpha, alpha_inv_t, mid, beta1, beta2
 
 
-def transvection_split3(spec: TransvectionSpec, ctx: FormContext):
+def transvection_split3(spec: TransvectionSpec):
     """Split E(v, (w0, w', 0), x) into diagonal, middle, and border factors."""
-    if not ctx.odd or ctx.n != spec.n:
-        raise IndexOutOfRange("spec rank disagrees with the context")
+    ctx = spec.ctx
+    if not ctx.odd:
+        raise IndexOutOfRange("the three-factor splitting lives in the odd space")
     R = spec.x.ring
     n = ctx.n
-    alpha, alpha_inv_t, mid, beta1, beta2 = _split3_blocks(ctx, spec)
+    alpha, alpha_inv_t, mid, beta1, beta2 = _split3_blocks(spec)
 
     m1 = embed_blocks(ctx, R, uu=alpha, vv=alpha_inv_t)
     m2 = embed_blocks(ctx, R, uv=mid)
@@ -390,31 +371,29 @@ def transvection_split3(spec: TransvectionSpec, ctx: FormContext):
     return m1, m2, m3
 
 
-def split_w_pair(v: SplitVector, w: SplitVector, y: Scalar, alpha: Matrix):
+def split_w_pair(v: Vector, w: Vector, y: Scalar, alpha: Matrix):
     """Split w*y = w1 + w2 with both summands orthogonal to v.
 
+    v and w are odd-space columns (v0, v', v'') of one length 2n + 1.
     alpha must come from solve_alternating for the halved columns:
     alpha * (v0/2, v'') = (v0/2, v') * y.  The first-row compatibility
     w0*y = alpha_0 * (w0, w'') is what makes phi(v, w1) vanish; it is
-    checked, not assumed.
+    checked, not assumed.  w2 has w'' = 0.
     """
     R = y.ring
     if v.ring != R or w.ring != R or alpha.ring != R:
         raise RingMismatch("split data must share one ring")
-    if v.n != w.n:
-        raise IndexOutOfRange(f"rank mismatch: {v.n} vs {w.n}")
-    n = v.n
+    if len(w) != len(v) or len(v) % 2 == 0:
+        raise IndexOutOfRange(f"v and w need one odd length, got {len(v)} and {len(w)}")
+    ctx = FormContext(len(v) // 2)
+    n = ctx.n
     if alpha.dim != n + 1:
         raise IndexOutOfRange(f"alpha must have size {n + 1}")
-    ctx = FormContext(n)
-    vv = v.to_vector(ctx)
-    wv = w.to_vector(ctx)
     zero = Scalar(R, R.zero)
-    v0 = Scalar(R, v.v0)
-    w0 = Scalar(R, w.v0)
-    if not ctx.quad(vv) == zero:
+    v0, w0 = v[0], w[0]
+    if not ctx.quad(v) == zero:
         raise HypothesisViolated("q(v) must vanish")
-    if not ctx.phi(vv, wv) == zero:
+    if not ctx.phi(v, w) == zero:
         raise HypothesisViolated("phi(v, w) must vanish")
     if not v0 * v0 == zero:
         raise HypothesisViolated("v0^2 must vanish")
@@ -423,18 +402,18 @@ def split_w_pair(v: SplitVector, w: SplitVector, y: Scalar, alpha: Matrix):
     if not is_alternating(alpha):
         raise HypothesisViolated("alpha must be alternating")
 
-    half0 = R.mul(R.half, v.v0)
-    lower = Vector(R, [half0] + list(v.vdp))
-    upper = Vector(R, [half0] + list(v.vp))
+    vc, wc = v.comps, w.comps
+    half0 = R.mul(R.half, vc[0])
+    lower = Vector(R, [half0] + vc[n + 1:])
+    upper = Vector(R, [half0] + vc[1:n + 1])
     if alpha.apply(lower) != upper.scale(y):
         raise HypothesisViolated("alpha does not carry (v0/2, v'') to (v0/2, v')*y")
 
-    t = Vector(R, [w.v0] + list(w.vdp))
-    at = alpha.apply(t)
+    at = alpha.apply(Vector(R, [wc[0]] + wc[n + 1:]))
     if not w0 * y == at[0]:
         raise HypothesisViolated("first-row compatibility w0*y = alpha_0*(w0, w'') fails")
 
-    w1 = SplitVector(R, at.comps[0], at.comps[1:], [R.mul(c, y.payload) for c in w.vdp])
-    top = Vector(R, [w.v0] + list(w.vp)).scale(y) - at
-    w2 = SplitVector(R, top.comps[0], top.comps[1:], [R.zero] * n)
+    w1 = Vector(R, at.comps + [R.mul(c, y.payload) for c in wc[n + 1:]], copy=False)
+    top = Vector(R, wc[:n + 1]).scale(y) - at
+    w2 = Vector(R, top.comps + [R.zero] * n, copy=False)
     return w1, w2

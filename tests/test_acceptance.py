@@ -35,7 +35,7 @@ from orthgen.identity_suite import run_suite
 from orthgen.quadratic_space import (
     FormContext,
     Matrix,
-    SplitVector,
+    Vector,
     is_orthogonal,
     matrices_congruent,
     monomial_pattern,
@@ -54,7 +54,7 @@ from orthgen.rings import (
     ring_from_string,
     variable,
 )
-from orthgen.transvections import TransvectionSpec, transvection
+from orthgen.transvections import TransvectionSpec, transvection_matrix
 
 from sampling import random_perm
 
@@ -217,10 +217,9 @@ def test_criterion_2_generator_orthogonality(capsys):
                 comps = [
                     Scalar(P, P.make([frame[(r, col)].payload])) for r in range(7)
                 ]
-                cols[col] = SplitVector.from_scalars(
-                    P, comps[0], comps[1:4], comps[4:7])
+                cols[col] = Vector.from_scalars(P, comps)
             x = variable(P) * _rand_scalar(P, rng)
-            spec = TransvectionSpec(cols[s], cols[t], x)
+            spec = TransvectionSpec(CTX3, cols[s], cols[t], x)
             m, _ = theta_conjugate(spec, 1 if rng.randrange(2) else -1, CTX3)
             ctx = CTX3
         if not is_orthogonal(m, ctx):
@@ -354,19 +353,17 @@ def test_criterion_7_theta_polynomiality(capsys):
                     else Scalar(ring, ring.make(0, [frame[(r, j)].payload]))
                     for r in range(7)
                 ]
-                vp = comps[1:4]
                 if scale_u is not None:
-                    vp = [scale_u * cc for cc in vp]
-                return SplitVector.from_scalars(ring, comps[0], vp, comps[4:7])
+                    comps[1:4] = [scale_u * cc for cc in comps[1:4]]
+                return Vector.from_scalars(ring, comps)
 
             f = _rand_scalar(P, rng)
-            spec = TransvectionSpec(col(P, s), col(P, t), variable(P) * f)
+            spec = TransvectionSpec(CTX3, col(P, s), col(P, t), variable(P) * f)
             conj, polynomial = theta_conjugate(spec, 1, CTX3)
             if not polynomial:
                 problems.append(f"entries not polynomial over {base.descriptor}")
-            expected = transvection(
-                TransvectionSpec(col(L, s, x_l), col(L, t, x_l),
-                                 laurent_of_poly(f)), CTX3)
+            expected = transvection_matrix(
+                TransvectionSpec(CTX3, col(L, s, x_l), col(L, t, x_l), laurent_of_poly(f)))
             if conj != expected:
                 problems.append(f"conjugate mismatch over {base.descriptor}")
     rep = run_suite(["L5.4"], 20260807, 30)

@@ -4,7 +4,9 @@ A name in a submodule's __all__ must be re-exported by the package, be
 the console-script target, or be used somewhere in the package source
 beyond its own definition and its __all__ entry.  Letters are checked
 only where a Word is built, and the unchecked letter kernel is reached
-only from the two modules that apply letters.
+only from the two modules that apply letters.  Transvections have one
+checked spec and one kernel entry, and the vector type and matrix
+builder they replaced are gone.
 """
 
 import ast
@@ -88,3 +90,13 @@ def test_letters_are_checked_only_where_a_word_is_built():
     assert not any("apply_letter" in _names(tree) for tree in trees.values())
     assert sorted(name for name, tree in trees.items()
                   if "_apply_letter" in _names(tree)) == ["decompose.py", "generators.py"]
+
+
+def test_transvections_have_one_spec_and_one_kernel_entry():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    gone = {"SplitVector", "transvection", "_check_transvection"}
+    assert not any(gone & _names(tree) for tree in trees.values())
+    kernel = [node for node in ast.walk(trees["transvections.py"])
+              if isinstance(node, ast.FunctionDef) and node.name == "apply_transvection"]
+    assert [arg.arg for arg in kernel[0].args.args] == ["m", "spec", "left"]

@@ -296,6 +296,18 @@ def test_verify_rejects_a_huge_modulus_with_exit_two():
     assert run_cli(["verify", "--what", "orthogonal"], blob) == (2, "")
 
 
+def test_check_horrocks_refuses_a_huge_laurent_offset(capsys):
+    blob = json.loads((GOLDEN / "horrocks_accept.in").read_text(encoding="utf-8"))
+    for offset in (10**40, -(10**40), 4097):
+        blob["beta"]["entries"][0][4]["offset"] = offset
+        assert run_cli(["check-horrocks"], json.dumps(blob)) == (2, "")
+        err = capsys.readouterr().err
+        assert "exceeds the ceiling 4096" in err and "Traceback" not in err
+    blob["beta"]["entries"][0][4]["offset"] = -1
+    assert run_cli(["check-horrocks"], json.dumps(blob))[0] == 0
+    capsys.readouterr()
+
+
 def _run_module(argv, stdin_text=None):
     env = dict(os.environ)
     src = str(Path(orthgen.__file__).parent.parent)

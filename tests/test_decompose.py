@@ -49,7 +49,7 @@ from orthgen.generators import (
 from orthgen.quadratic_space import (
     FormContext,
     Matrix,
-    SplitVector,
+    Vector,
     is_orthogonal,
     matrices_congruent,
     matrix_residue,
@@ -632,30 +632,27 @@ def test_theta_transvection_spec_path():
     ])
     frame = one_perp(eval_word(eword))
 
-    def col_split(j):
-        comps = [Scalar(PQ, PQ.make([frame[(r, j)].payload])) for r in range(7)]
-        return SplitVector.from_scalars(PQ, comps[0], comps[1:4], comps[4:7])
+    def col(j):
+        return Vector(PQ, [PQ.make([frame[(r, j)].payload]) for r in range(7)])
 
     X = variable(PQ)
-    spec = TransvectionSpec(col_split(1), col_split(2), X + X * X)
+    spec = TransvectionSpec(CTX3, col(1), col(2), X + X * X)
     conj, flag = theta_conjugate(spec, 1, CTX3)
     assert flag and conj.ring == LQ and is_orthogonal(conj, CTX3)
     with pytest.raises(HypothesisViolated):
-        theta_conjugate(TransvectionSpec(col_split(1), col_split(2), Scalar(PQ, PQ.one) + X), 1, CTX3)
-    v0 = SplitVector.from_scalars(
-        PQ,
-        Scalar(PQ, PQ.one),
-        [Scalar(PQ, PQ.one), Scalar(PQ, PQ.zero), Scalar(PQ, PQ.zero)],
-        [Scalar(PQ, PQ.make([Fraction(-1)])), Scalar(PQ, PQ.zero), Scalar(PQ, PQ.zero)],
-    )
-    w0 = SplitVector.from_scalars(
-        PQ,
-        Scalar(PQ, PQ.zero),
-        [Scalar(PQ, PQ.zero), Scalar(PQ, PQ.one), Scalar(PQ, PQ.zero)],
-        [Scalar(PQ, PQ.zero)] * 3,
-    )
+        theta_conjugate(TransvectionSpec(CTX3, col(1), col(2), Scalar(PQ, PQ.one) + X), 1, CTX3)
+    v0 = Vector.from_scalars(PQ, [1, 1, 0, 0, -1, 0, 0])
+    w0 = Vector.from_scalars(PQ, [0, 0, 1, 0, 0, 0, 0])
     with pytest.raises(HypothesisViolated):
-        theta_conjugate(TransvectionSpec(v0, w0, X), 1, CTX3)
+        theta_conjugate(TransvectionSpec(CTX3, v0, w0, X), 1, CTX3)
+    # A spec over another context is refused, odd or even.
+    wide = TransvectionSpec(CTX4, Vector.from_scalars(PQ, [0, 1] + [0] * 7),
+                            Vector.from_scalars(PQ, [0, 0, 1] + [0] * 6), X)
+    narrow = TransvectionSpec(ECTX3, Vector.from_scalars(PQ, [1] + [0] * 5),
+                              Vector.from_scalars(PQ, [0, 1] + [0] * 4), X)
+    for other in (wide, narrow):
+        with pytest.raises(IndexOutOfRange, match="spec rank disagrees with the context"):
+            theta_conjugate(other, 1, CTX3)
 
 
 def test_theta_rejections():

@@ -6,7 +6,9 @@ family, both exponents and every ring kind.  A letter the dense path
 refuses is refused with the same error class when its Word is built,
 and a counting guard keeps the letter check at that one place: the
 field decomposition checks each letter of its result once, and its
-recomposition checks none.  apply_word checks the matrix's size and
+recomposition checks none; the local decomposition and its
+recomposition apply their words in turn, building no product word that
+re-checks them.  apply_word checks the matrix's size and
 ring.  The product-free form test is_orthogonal is checked against
 M^T * gram * M == gram.  A counting guard keeps dense products out of
 word evaluation, both decompositions, their recomposition, the
@@ -223,6 +225,30 @@ def test_each_letter_is_checked_once_when_its_word_is_built(monkeypatch):
     checks[0] = 0
     assert dec.recompose() == alpha
     assert checks[0] == 0
+
+
+def test_the_local_path_applies_its_factors_in_turn(monkeypatch):
+    Z9 = ring_from_string("Zpk:3:2")
+    ctx = FormContext(8)
+    alpha = eval_word(random_word(ctx, Z9, random.Random(5), 32))
+    checks = [0]
+    plain = generators._validate_letter
+
+    def counted(*args):
+        checks[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(generators, "_validate_letter", counted)
+    dec = local_decompose(alpha, ctx)
+    # The residue's decomposition and its core (k + 2 letters, k the
+    # tower letters), the core again, the lifted words and their
+    # inverses; no product word re-checks them.
+    k = len(dec.tau1) + len(dec.tau2)
+    assert (k, checks[0]) == (61, 3 * (k + 2) + 2) == (61, 191)
+    checks[0] = 0
+    assert dec.recompose() == alpha
+    # Only the PERM and DIAG letters of the core that mo_split reads off mu.
+    assert checks[0] == 2
 
 
 def _two_products(m, ctx):

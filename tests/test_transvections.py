@@ -18,7 +18,6 @@ from orthgen.generators import GenLabel, Word, eval_word, gen_F, gen_oe, random_
 from orthgen.quadratic_space import (
     FormContext,
     Matrix,
-    SplitVector,
     Vector,
     is_orthogonal,
 )
@@ -30,7 +29,6 @@ from orthgen.transvections import (
     is_alternating,
     solve_alternating,
     split_w_pair,
-    transvection,
     transvection_law,
     transvection_matrix,
     transvection_split3,
@@ -57,6 +55,10 @@ def _vec(ring, comps):
     return Vector(ring, [ring.from_int(c) for c in comps])
 
 
+def _E(ctx, v, w, x):
+    return transvection_matrix(TransvectionSpec(ctx, v, w, x))
+
+
 def _basis(ring, dim, idx, sign=1):
     comps = [ring.zero] * dim
     comps[idx] = ring.one if sign == 1 else ring.from_int(-1)
@@ -79,7 +81,7 @@ def _alternating(ring, rng, n):
 def test_transvection_zero_parameter_is_identity():
     v = _basis(QQ, 7, CTX3.u(1))
     w = _vec(QQ, [1, 0, 2, 0, 0, 5, -1])
-    m = transvection_matrix(CTX3, v, w, _s(QQ, 0))
+    m = _E(CTX3, v, w, _s(QQ, 0))
     assert m == Matrix.identity(QQ, 7)
 
 
@@ -90,7 +92,7 @@ def test_transvection_reduces_when_w_is_isotropic():
     x = _s(QQ, 7)
     tv, tw = CTX3.tilde(v), CTX3.tilde(w)
     expected = Matrix.identity(QQ, 7) + (v.outer(tw) - w.outer(tv)).scale(x)
-    assert transvection_matrix(CTX3, v, w, x) == expected
+    assert _E(CTX3, v, w, x) == expected
 
 
 def test_first_family_letters_are_transvections():
@@ -98,9 +100,9 @@ def test_first_family_letters_are_transvections():
     e0 = _basis(QQ, 7, 0, sign=-1)
     for i in (1, 2, 3):
         left = gen_F(CTX3, "F1", i, None, z)
-        assert left == transvection_matrix(CTX3, _basis(QQ, 7, CTX3.u(i)), e0, z)
+        assert left == _E(CTX3, _basis(QQ, 7, CTX3.u(i)), e0, z)
         left = gen_F(CTX3, "F2", i, None, z)
-        assert left == transvection_matrix(CTX3, _basis(QQ, 7, CTX3.v(i)), e0, z)
+        assert left == _E(CTX3, _basis(QQ, 7, CTX3.v(i)), e0, z)
 
 
 def test_even_letters_are_transvections():
@@ -108,7 +110,7 @@ def test_even_letters_are_transvections():
     for i, j in ((1, 3), (2, 6), (4, 2)):
         v = _basis(F7, 6, i - 1)
         w = _basis(F7, 6, ECTX3.delta(j - 1))
-        assert gen_oe(ECTX3, i, j, z) == transvection_matrix(ECTX3, v, w, z)
+        assert gen_oe(ECTX3, i, j, z) == _E(ECTX3, v, w, z)
 
 
 def test_transvection_is_orthogonal_with_unit_determinant():
@@ -123,10 +125,10 @@ def test_transvection_is_orthogonal_with_unit_determinant():
             # phi(v, w) only sees w through the paired v-slots.
             w.comps[CTX3.v(1)] = ring.neg(ring.mul(b, w.comps[CTX3.v(2)]))
             x = Scalar(ring, ring.sample(rng))
-            m = transvection_matrix(CTX3, v, w, x)
+            m = _E(CTX3, v, w, x)
             assert is_orthogonal(m, CTX3)
             assert det(m) == 1
-            assert orthogonal_inverse(m, CTX3) == transvection_matrix(CTX3, v, w, -x)
+            assert orthogonal_inverse(m, CTX3) == _E(CTX3, v, w, -x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,8 +145,8 @@ def test_transvection_additive_in_parameter(data, x1, x2):
     w = _vec(F7, w_raw)
     w.comps[CTX3.v(1)] = F7.neg(F7.mul(F7.from_int(b), w.comps[CTX3.v(2)]))
     a1, a2 = _s(F7, x1), _s(F7, x2)
-    lhs = transvection_matrix(CTX3, v, w, a1) @ transvection_matrix(CTX3, v, w, a2)
-    assert lhs == transvection_matrix(CTX3, v, w, a1 + a2)
+    lhs = _E(CTX3, v, w, a1) @ _E(CTX3, v, w, a2)
+    assert lhs == _E(CTX3, v, w, a1 + a2)
 
 
 def _random_frame(ctx, ring, rng):
@@ -189,11 +191,12 @@ def test_kernel_matches_the_dense_formula(desc, ctx):
             for v, w in _kernel_data(ctx, ring, frame, rng):
                 x = Scalar(ring, ring.sample(rng))
                 dense = transvection_formula(ctx, v, w, x)
-                assert transvection_matrix(ctx, v, w, x) == dense
+                spec = TransvectionSpec(ctx, v, w, x)
+                assert transvection_matrix(spec) == dense
                 m = random_matrix(ring, ctx.dim, rng)
                 for left in (True, False):
                     out = m.copy()
-                    apply_transvection(ctx, out, v, w, x, left)
+                    apply_transvection(out, spec, left)
                     assert out == (dense @ m if left else m @ dense)
                 support = sum(not ring.is_zero(c) for c in v.comps + w.comps)
                 seen.add((ctx.quad(w) == 0, support > 4))
@@ -221,20 +224,40 @@ def test_transvection_hypothesis_checks():
     for ctx in (CTX3, ECTX3):
         for cls, message, args in _hypothesis_cases(ctx):
             with pytest.raises(cls, match=message):
-                transvection_matrix(ctx, *args)
-            for left in (True, False):
-                m = Matrix.identity(QQ, ctx.dim)
-                with pytest.raises(cls, match=message):
-                    apply_transvection(ctx, m, *args, left=left)
-                assert m == Matrix.identity(QQ, ctx.dim)
+                TransvectionSpec(ctx, *args)
 
 
 def test_kernel_rejects_a_matrix_of_the_wrong_shape_or_ring():
-    eu, ev2 = _basis(QQ, 7, CTX3.u(1)), _basis(QQ, 7, CTX3.u(2))
-    with pytest.raises(IndexOutOfRange):
-        apply_transvection(CTX3, Matrix.identity(QQ, 5), eu, ev2, _s(QQ, 1))
-    with pytest.raises(RingMismatch):
-        apply_transvection(CTX3, Matrix.identity(F7, 7), eu, ev2, _s(QQ, 1))
+    spec = TransvectionSpec(CTX3, _basis(QQ, 7, CTX3.u(1)), _basis(QQ, 7, CTX3.u(2)), _s(QQ, 1))
+    for left in (True, False):
+        for m, cls in ((Matrix.identity(QQ, 5), IndexOutOfRange),
+                       (Matrix.identity(F7, 5), IndexOutOfRange),
+                       (Matrix.identity(F7, 7), RingMismatch)):
+            before = m.copy()
+            with pytest.raises(cls):
+                apply_transvection(m, spec, left)
+            assert m == before
+
+
+def test_the_kernel_checks_no_hypothesis(monkeypatch):
+    frame = _random_frame(CTX3, QQ, random.Random(8))
+    v, w = _kernel_data(CTX3, QQ, frame, random.Random(9))[1]
+    spec = TransvectionSpec(CTX3, v, w, _s(QQ, 3))
+    calls = {"phi": 0, "quad": 0}
+    for name in calls:
+        plain = getattr(FormContext, name)
+
+        def counted(self, *args, name=name, plain=plain):
+            calls[name] += 1
+            return plain(self, *args)
+
+        monkeypatch.setattr(FormContext, name, counted)
+    m = random_matrix(QQ, 7, random.Random(10))
+    for left in (True, False):
+        calls.update(phi=0, quad=0)
+        apply_transvection(m, spec, left)
+        # q(w) feeds the correction term; q(v) and phi(v, w) are not re-read.
+        assert calls == {"phi": 0, "quad": 1}
 
 
 # --- the five laws ---------------------------------------------------------
@@ -361,23 +384,23 @@ def test_solve_alternating_errors():
 # --- three-factor splitting ------------------------------------------------
 
 
-def _split3_spec(ring, vp, vdp, wp, x, v0=0, w0=0):
-    v = SplitVector.from_scalars(ring, v0, vp, vdp)
-    w = SplitVector.from_scalars(ring, w0, wp, [0] * len(wp))
-    return TransvectionSpec(v, w, Scalar(ring, ring.from_int(x)))
+def _split3_spec(ring, vp, vdp, wp, x, v0=0, w0=0, wdp=None):
+    v = Vector.from_scalars(ring, [v0] + vp + vdp)
+    w = Vector.from_scalars(ring, [w0] + wp + (wdp or [0] * len(wp)))
+    return TransvectionSpec(FormContext(len(vp)), v, w, Scalar(ring, ring.from_int(x)))
 
 
 def test_split3_zero_parameter_gives_identities():
     spec = _split3_spec(QQ, [1, 2, 3], [3, 0, -1], [0, 1, 0], 0)
-    m1, m2, m3 = transvection_split3(spec, CTX3)
+    m1, m2, m3 = transvection_split3(spec)
     eye = Matrix.identity(QQ, 7)
     assert (m1, m2, m3) == (eye, eye, eye)
 
 
 def test_split3_recomposes_and_block_shapes():
     spec = _split3_spec(QQ, [1, 2, 3], [3, 0, -1], [0, 1, 0], 5)
-    m1, m2, m3 = transvection_split3(spec, CTX3)
-    assert m1 @ m2 @ m3 == transvection(spec, CTX3)
+    m1, m2, m3 = transvection_split3(spec)
+    assert m1 @ m2 @ m3 == transvection_matrix(spec)
     # m1 is block diagonal with inverse-transpose lower block.
     upper = Matrix(QQ, [[m1.rows[1 + i][1 + j] for j in range(3)] for i in range(3)])
     lower = Matrix(QQ, [[m1.rows[4 + i][4 + j] for j in range(3)] for i in range(3)])
@@ -387,9 +410,9 @@ def test_split3_recomposes_and_block_shapes():
 
 def test_split3_nilpotent_centers():
     spec = _split3_spec(Z9, [1, 2, 3], [3, 0, -1], [0, 1, 0], 4, v0=3, w0=3)
-    m1, m2, m3 = transvection_split3(spec, CTX3)
+    m1, m2, m3 = transvection_split3(spec)
     assert m3 != Matrix.identity(Z9, 7)
-    assert m1 @ m2 @ m3 == transvection(spec, CTX3)
+    assert m1 @ m2 @ m3 == transvection_matrix(spec)
 
 
 def test_split3_random_isotropic_data():
@@ -401,40 +424,37 @@ def test_split3_random_isotropic_data():
             vp = Vector(ring, [ring.sample(rng) for _ in range(4)])
             vdp = gamma.apply(vp)
             wp = gamma2.apply(vdp)
-            v = SplitVector(ring, ring.zero, vp.comps, vdp.comps)
-            w = SplitVector(ring, ring.zero, wp.comps, [ring.zero] * 4)
-            spec = TransvectionSpec(v, w, Scalar(ring, ring.sample(rng)))
-            m1, m2, m3 = transvection_split3(spec, CTX4)
-            assert m1 @ m2 @ m3 == transvection(spec, CTX4)
+            v = Vector(ring, [ring.zero] + vp.comps + vdp.comps)
+            w = Vector(ring, [ring.zero] + wp.comps + [ring.zero] * 4)
+            spec = TransvectionSpec(CTX4, v, w, Scalar(ring, ring.sample(rng)))
+            m1, m2, m3 = transvection_split3(spec)
+            assert m1 @ m2 @ m3 == transvection_matrix(spec)
 
 
 def test_split3_hypothesis_checks():
-    v = SplitVector.from_scalars(QQ, 0, [1, 2, 3], [3, 0, -1])
-    w_bad = SplitVector.from_scalars(QQ, 0, [0, 1, 0], [0, 0, 0])
-    spec = TransvectionSpec(v, w_bad, _s(QQ, 1))
-    spec.w = SplitVector.from_scalars(QQ, 0, [0, 1, 0], [2, 0, -2])
-    with pytest.raises(HypothesisViolated):
-        transvection_split3(spec, CTX3)
+    # A valid spec, phi(v, w) = v'.w'' + v''.w' = 0, but with w'' != 0.
+    spec = _split3_spec(QQ, [1, 2, 3], [3, 0, -1], [0, 1, 0], 1, wdp=[3, 0, -1])
+    with pytest.raises(HypothesisViolated, match="w'' must vanish"):
+        transvection_split3(spec)
 
-    v_center = SplitVector.from_scalars(QQ, 1, [1, 0, 0], [-1, 0, 0])
-    w = SplitVector.from_scalars(QQ, 0, [0, 0, 1], [0, 0, 0])
-    spec = TransvectionSpec(v_center, w, _s(QQ, 1))
-    with pytest.raises(HypothesisViolated):
-        transvection_split3(spec, CTX3)
+    spec = _split3_spec(QQ, [1, 0, 0], [-1, 0, 0], [0, 0, 1], 1, v0=1)
+    with pytest.raises(HypothesisViolated, match=r"v0\^2 must vanish"):
+        transvection_split3(spec)
+    even = TransvectionSpec(ECTX3, _basis(QQ, 6, 0), _basis(QQ, 6, 1), _s(QQ, 1))
     with pytest.raises(IndexOutOfRange):
-        transvection_split3(_split3_spec(QQ, [1, 0], [0, 0], [0, 1], 1), CTX3)
+        transvection_split3(even)
 
 
 # --- splitting w against an order-ideal witness -----------------------------
 
 
 def test_split_w_pair_degenerate_alpha():
-    v = SplitVector.from_scalars(QQ, 0, [0, 0, 0], [2, 5, 1])
-    w = SplitVector.from_scalars(QQ, 0, [0, 0, 0], [4, -1, 6])
+    v = _vec(QQ, [0, 0, 0, 0, 2, 5, 1])
+    w = _vec(QQ, [0, 0, 0, 0, 4, -1, 6])
     alpha = Matrix.zeros(QQ, 4)
     w1, w2 = split_w_pair(v, w, _s(QQ, 1), alpha)
-    assert w1 == SplitVector.from_scalars(QQ, 0, [0, 0, 0], [4, -1, 6])
-    assert w2 == SplitVector.from_scalars(QQ, 0, [0, 0, 0], [0, 0, 0])
+    assert w1 == _vec(QQ, [0, 0, 0, 0, 4, -1, 6])
+    assert w2 == _vec(QQ, [0, 0, 0, 0, 0, 0, 0])
 
 
 def _split_pair_data(ring, rng, n):
@@ -449,8 +469,8 @@ def _split_pair_data(ring, rng, n):
     s = ring.neg(vdp.dot(wp).payload)
     wdp = gamma2.apply(vp)
     wdp.comps[0] = ring.add(wdp.comps[0], s)
-    v = SplitVector(ring, ring.zero, vp.comps, vdp.comps)
-    w = SplitVector(ring, ring.zero, wp.comps, wdp.comps)
+    v = Vector(ring, [ring.zero] + vp.comps + vdp.comps)
+    w = Vector(ring, [ring.zero] + wp.comps + wdp.comps)
 
     combiners = [Scalar(ring, ring.zero)] + [
         Scalar(ring, ring.sample(rng)) for _ in range(n)
@@ -473,78 +493,79 @@ def test_split_w_pair_random_admissible():
         for _ in range(8):
             v, w, y, alpha = _split_pair_data(ring, rng, 4)
             w1, w2 = split_w_pair(v, w, y, alpha)
-            vv = v.to_vector(ctx)
-            scaled = w.to_vector(ctx).scale(y)
-            assert w1.to_vector(ctx) + w2.to_vector(ctx) == scaled
-            assert ctx.phi(vv, w1.to_vector(ctx)) == 0
-            assert ctx.phi(vv, w2.to_vector(ctx)) == 0
-            assert all(ring.is_zero(c) for c in w2.vdp)
+            scaled = w.scale(y)
+            assert w1 + w2 == scaled
+            assert ctx.phi(v, w1) == 0
+            assert ctx.phi(v, w2) == 0
+            assert all(ring.is_zero(c) for c in w2.comps[ctx.n + 1:])
 
             x1 = Scalar(ring, ring.sample(rng))
-            whole = transvection_matrix(ctx, vv, scaled, x1)
-            first = transvection_matrix(ctx, vv, w1.to_vector(ctx), x1)
-            second = transvection_matrix(ctx, vv, w2.to_vector(ctx), x1)
-            assert whole == first @ second
-            assert whole == transvection_matrix(ctx, vv, w.to_vector(ctx), x1 * y)
+            whole = _E(ctx, v, scaled, x1)
+            assert whole == _E(ctx, v, w1, x1) @ _E(ctx, v, w2, x1)
+            assert whole == _E(ctx, v, w, x1 * y)
 
 
 def test_split_w_pair_rejects_bad_inputs():
-    v = SplitVector.from_scalars(QQ, 0, [0, 0, 0], [2, 5, 1])
-    w = SplitVector.from_scalars(QQ, 0, [0, 0, 0], [4, -1, 6])
+    v = _vec(QQ, [0, 0, 0, 0, 2, 5, 1])
+    w = _vec(QQ, [0, 0, 0, 0, 4, -1, 6])
     with pytest.raises(HypothesisViolated):
         split_w_pair(v, w, _s(QQ, 1), Matrix.identity(QQ, 4))
 
-    w_safe = SplitVector.from_scalars(QQ, 0, [0, 0, 0], [0, -1, 6])
-    v_live = SplitVector.from_scalars(QQ, 0, [1, 0, 0], [0, 0, 0])
+    w_safe = _vec(QQ, [0, 0, 0, 0, 0, -1, 6])
+    v_live = _vec(QQ, [0, 1, 0, 0, 0, 0, 0])
     with pytest.raises(HypothesisViolated):
         # alpha * (0, v'') = 0 cannot reach (0, v') * y.
         split_w_pair(v_live, w_safe, _s(QQ, 1), Matrix.zeros(QQ, 4))
 
-    w_center = SplitVector.from_scalars(QQ, 1, [0, 0, 0], [0, 0, 0])
+    w_center = _vec(QQ, [1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(HypothesisViolated):
         # first-row compatibility: w0*y = 1 but alpha_0 = 0.
         split_w_pair(v, w_center, _s(QQ, 1), Matrix.zeros(QQ, 4))
 
-    v_bad0 = SplitVector.from_scalars(QQ, 1, [1, 0, 0], [-1, 0, 0])
+    v_bad0 = _vec(QQ, [1, 1, 0, 0, -1, 0, 0])
     with pytest.raises(HypothesisViolated):
         split_w_pair(v_bad0, w_safe, _s(QQ, 0), Matrix.zeros(QQ, 4))
 
     with pytest.raises(IndexOutOfRange):
         split_w_pair(v, w, _s(QQ, 1), Matrix.zeros(QQ, 5))
+    for short in (_vec(QQ, [0, 0, 0, 0, 0]), _vec(QQ, [0, 0, 0, 0, 0, 0])):
+        with pytest.raises(IndexOutOfRange):
+            split_w_pair(v, short, _s(QQ, 1), Matrix.zeros(QQ, 4))
+    with pytest.raises(IndexOutOfRange):
+        split_w_pair(_vec(QQ, [0] * 6), _vec(QQ, [0] * 6), _s(QQ, 1), Matrix.zeros(QQ, 4))
 
 
 # --- spec objects and JSON --------------------------------------------------
 
 
 def test_spec_constructor_checks():
-    v = SplitVector.from_scalars(F7, 0, [1, 0, 0], [0, 0, 0])
-    w = SplitVector.from_scalars(F7, 0, [0, 1, 0], [0, 0, 0])
-    spec = TransvectionSpec(v, w, _s(F7, 2))
-    assert spec.n == 3
+    v = _basis(F7, 7, CTX3.u(1))
+    w = _basis(F7, 7, CTX3.u(2))
+    spec = TransvectionSpec(CTX3, v, w, _s(F7, 2))
+    assert spec.ctx is CTX3 and spec.v is v and spec.w is w
     with pytest.raises(HypothesisViolated):
-        TransvectionSpec(SplitVector.from_scalars(F7, 1, [0, 0, 0], [0, 0, 0]), w, _s(F7, 2))
+        TransvectionSpec(CTX3, _basis(F7, 7, 0), w, _s(F7, 2))
     with pytest.raises(HypothesisViolated):
-        TransvectionSpec(v, SplitVector.from_scalars(F7, 0, [0, 0, 0], [1, 0, 0]), _s(F7, 2))
+        TransvectionSpec(CTX3, v, _basis(F7, 7, CTX3.v(1)), _s(F7, 2))
     with pytest.raises(RingMismatch):
-        TransvectionSpec(v, w, _s(QQ, 2))
+        TransvectionSpec(CTX3, v, w, _s(QQ, 2))
     with pytest.raises(IndexOutOfRange):
-        TransvectionSpec(v, SplitVector.from_scalars(F7, 0, [0, 1], [0, 0]), _s(F7, 2))
+        TransvectionSpec(CTX3, v, _basis(F7, 5, 1), _s(F7, 2))
     with pytest.raises(IndexOutOfRange):
-        transvection(spec, CTX4)
+        TransvectionSpec(CTX4, v, w, _s(F7, 2))
     with pytest.raises(IndexOutOfRange):
-        transvection(spec, ECTX3)
+        TransvectionSpec(ECTX3, v, w, _s(F7, 2))
 
 
 def test_spec_json_round_trip():
-    w = SplitVector.from_scalars(Z9, 0, [0, 0, 0], [0, 0, 0])
-    spec = TransvectionSpec(
-        SplitVector.from_scalars(Z9, 0, [1, 0, 0], [0, 0, 0]), w, _s(Z9, 5)
-    )
+    spec = TransvectionSpec(CTX3, _basis(Z9, 7, CTX3.u(1)), Vector.zero(Z9, 7), _s(Z9, 5))
     blob = spec.to_json()
     zero, one = {"mod": 9, "val": 0}, {"mod": 9, "val": 1}
     assert blob == {
         "ring": "Zpk:3:2",
-        "v": {"n": 3, "v0": zero, "vp": [one, zero, zero], "vdp": [zero, zero, zero]},
-        "w": {"n": 3, "v0": zero, "vp": [zero, zero, zero], "vdp": [zero, zero, zero]},
+        "n": 3,
+        "odd": True,
+        "v": [zero, one, zero, zero, zero, zero, zero],
+        "w": [zero] * 7,
         "x": {"mod": 9, "val": 5},
     }
