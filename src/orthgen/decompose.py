@@ -57,6 +57,7 @@ from .quadratic_space import (
     FormContext,
     Matrix,
     Vector,
+    _is_unitriangular,
     is_orthogonal,
     matrices_congruent,
     matrix_residue,
@@ -110,9 +111,14 @@ def _validate_tower_word(word: Word) -> None:
 
 
 class TmtDecomposition:
-    """tau1 * mu * tau2 with tower words around a monomial core."""
+    """tau1 * mu * tau2 with tower words around a monomial core.
 
-    __slots__ = ("tau1", "mu", "tau2")
+    The constructor certifies mu as an orthogonal monomial and keeps its
+    PERM and DIAG letters as core, so nothing splits mu again.
+    """
+
+    __slots__ = ("tau1", "mu", "tau2", "core")
+    _EXTRA = ()  # matrix parts a subclass adds after tau2, by JSON key
 
     def __init__(self, tau1: Word, mu: Matrix, tau2: Word) -> None:
         if tau1.ring != mu.ring or tau2.ring != mu.ring:
@@ -121,6 +127,7 @@ class TmtDecomposition:
             raise IndexOutOfRange("word contexts do not match the core size")
         _validate_tower_word(tau1)
         _validate_tower_word(tau2)
+        self.core = mo_split(mu, tau1.ctx)
         self.tau1 = tau1
         self.mu = mu
         self.tau2 = tau2
@@ -132,63 +139,46 @@ class TmtDecomposition:
         return out
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "tau1": word_to_json(self.tau1),
             "mu": self.mu.to_json(),
             "tau2": word_to_json(self.tau2),
         }
+        out.update((key, getattr(self, key).to_json()) for key in self._EXTRA)
+        return out
 
     @classmethod
     def from_json(cls, obj) -> "TmtDecomposition":
-        if not isinstance(obj, dict) or not {"tau1", "mu", "tau2"} <= set(obj):
-            raise JSONFormatError("decomposition needs 'tau1', 'mu', 'tau2'")
+        keys = ("tau1", "mu", "tau2") + cls._EXTRA
+        if not isinstance(obj, dict) or not set(keys) <= set(obj):
+            raise JSONFormatError("decomposition needs " + ", ".join(f"'{k}'" for k in keys))
         return cls(
             word_from_json(obj["tau1"]),
             Matrix.from_json(obj["mu"]),
             word_from_json(obj["tau2"]),
+            *(Matrix.from_json(obj[key]) for key in cls._EXTRA),
         )
 
 
-class LocalDecomposition:
+class LocalDecomposition(TmtDecomposition):
     """tau1 * mu * tau2 * residual with the residual congruent to I."""
 
-    __slots__ = ("tau1", "mu", "tau2", "residual")
+    __slots__ = ("residual",)
+    _EXTRA = ("residual",)
 
     def __init__(self, tau1: Word, mu: Matrix, tau2: Word, residual: Matrix) -> None:
-        if tau1.ring != mu.ring or tau2.ring != mu.ring or residual.ring != mu.ring:
+        super().__init__(tau1, mu, tau2)
+        if residual.ring != mu.ring:
             raise RingMismatch("decomposition parts must share one ring")
-        if tau1.ctx.dim != mu.dim or tau2.ctx.dim != mu.dim or residual.dim != mu.dim:
+        if residual.dim != mu.dim:
             raise IndexOutOfRange("word contexts do not match the core size")
-        self.tau1 = tau1
-        self.mu = mu
-        self.tau2 = tau2
         self.residual = residual
 
     def recompose(self) -> Matrix:
-        core = mo_split(self.mu, self.tau1.ctx)
         out = self.residual.copy()
-        for word in (self.tau2, core, self.tau1):
+        for word in (self.tau2, self.core, self.tau1):
             apply_word(out, word, left=True)
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "tau1": word_to_json(self.tau1),
-            "mu": self.mu.to_json(),
-            "tau2": word_to_json(self.tau2),
-            "residual": self.residual.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "LocalDecomposition":
-        if not isinstance(obj, dict) or not {"tau1", "mu", "tau2", "residual"} <= set(obj):
-            raise JSONFormatError("decomposition needs 'tau1', 'mu', 'tau2', 'residual'")
-        return cls(
-            word_from_json(obj["tau1"]),
-            Matrix.from_json(obj["mu"]),
-            word_from_json(obj["tau2"]),
-            Matrix.from_json(obj["residual"]),
-        )
 
 
 # --- block factorizations ---------------------------------------------------
@@ -247,18 +237,6 @@ def _is_zero_block(m: Matrix) -> bool:
     return all(R.is_zero(a) for row in m.rows for a in row)
 
 
-def _is_unitriangular(m: Matrix, upper: bool) -> bool:
-    R = m.ring
-    d = m.dim
-    for i in range(d):
-        if not R.eq(m.rows[i][i], R.one):
-            return False
-        for j in range(i) if upper else range(i + 1, d):
-            if not R.is_zero(m.rows[i][j]):
-                return False
-    return True
-
-
 def factor_to(alpha: Matrix, ctx: FormContext) -> Word:
     """Letter word for a triangular block shape, upper or lower variant.
 
@@ -270,7 +248,7 @@ def factor_to(alpha: Matrix, ctx: FormContext) -> Word:
     R = alpha.ring
     if alpha.dim != ctx.dim:
         raise IndexOutOfRange(f"matrix must have size {ctx.dim}")
-    if not R.eq(alpha.rows[0][0], R.one):
+    if alpha.rows[0][0] != R.one:
         raise NotTOShape("center entry must be 1")
     for t in range(1, ctx.dim):
         if not (R.is_zero(alpha.rows[0][t]) and R.is_zero(alpha.rows[t][0])):
@@ -313,10 +291,10 @@ def tmt_decompose(alpha: Matrix, ctx: FormContext) -> TmtDecomposition:
 
     The input is not tested for orthogonality up front: every letter
     applied is orthogonal, so alpha preserves the form exactly when the
-    core does, and mo_split certifies the core as an orthogonal
-    monomial.  Only when the elimination or that certificate fails is
-    the form test run, to tell a non-orthogonal input (NotOrthogonal)
-    from a failure of the elimination itself (re-raised).
+    core does, and the record's constructor certifies the core as an
+    orthogonal monomial.  Only when the elimination or that certificate
+    fails is the form test run, to tell a non-orthogonal input
+    (NotOrthogonal) from a failure of the elimination itself (re-raised).
     """
     _require_odd(ctx)
     R = alpha.ring
@@ -328,14 +306,13 @@ def tmt_decompose(alpha: Matrix, ctx: FormContext) -> TmtDecomposition:
         raise IndexOutOfRange(f"matrix must have size {ctx.dim}")
     try:
         beta, left_ops, right_ops = _peel_pairs(alpha, ctx)
-        mo_split(beta, ctx)
+        tau1 = Word(ctx, R, [op.inverse() for op in left_ops])
+        tau2 = Word(ctx, R, [op.inverse() for op in reversed(right_ops)])
+        return TmtDecomposition(tau1, beta, tau2)
     except OrthgenError:
         if not is_orthogonal(alpha, ctx):
             raise NotOrthogonal("input does not preserve the form") from None
         raise
-    tau1 = Word(ctx, R, [op.inverse() for op in left_ops])
-    tau2 = Word(ctx, R, [op.inverse() for op in reversed(right_ops)])
-    return TmtDecomposition(tau1, beta, tau2)
 
 
 def _peel_pairs(alpha: Matrix, ctx: FormContext):
@@ -431,7 +408,7 @@ def mo_split(mu: Matrix, ctx: FormContext) -> Word:
     entries = _diag_entries(ctx, d0, d)
     for i in range(1, ctx.n + 1):
         vi = ctx.v(i)
-        if not R.eq(mu.rows[pattern[vi]][vi], entries[vi]):
+        if mu.rows[pattern[vi]][vi] != entries[vi]:
             raise NotOrthogonal("monomial matrix is not orthogonal")
     return Word(ctx, R, [GenLabel("PERM", param=image), GenLabel("DIAG", param=(d0, d))])
 
@@ -444,8 +421,8 @@ def _lift_word(word: Word, ring: Ring) -> Word:
 
     F letters lift their parameter, except that F2's half maps to the
     half upstairs; a PERM image is kept; a DIAG lifts entry by entry,
-    its center going to +1 or -1.  The words come from tmt_decompose
-    and mo_split, which have certified them over the residue field, so
+    its center going to +1 or -1.  The words come from a
+    TmtDecomposition, which certified them over the residue field, so
     the center is +1 or -1 there and every lifted diagonal entry is a
     unit of the local ring.
     """
@@ -458,7 +435,7 @@ def _lift_word(word: Word, ring: Ring) -> Word:
             letters.append(letter)
         elif fam == "DIAG":
             d0, d = letter.param
-            center = ring.one if S.eq(d0.payload, S.one) else ring.neg(ring.one)
+            center = ring.one if d0.payload == S.one else ring.neg(ring.one)
             param = (Scalar(ring, center), tuple(lift_scalar(ring, x) for x in d))
             letters.append(GenLabel(fam, param=param, exp=letter.exp))
         else:
@@ -487,7 +464,7 @@ def local_decompose(alpha: Matrix, ctx: FormContext) -> LocalDecomposition:
         raise NotOrthogonal("input does not preserve the form")
     reduced = tmt_decompose(matrix_residue(alpha), ctx)
     tau1 = _lift_word(reduced.tau1, R)
-    core = _lift_word(mo_split(reduced.mu, ctx), R)
+    core = _lift_word(reduced.core, R)
     tau2 = _lift_word(reduced.tau2, R)
     residual = alpha.copy()
     for word in (tau1, core, tau2):

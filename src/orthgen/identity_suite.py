@@ -23,6 +23,7 @@ from .errors import DecompositionError, OrthgenError, UnknownItem
 from .generators import (
     GenLabel,
     Word,
+    apply_word,
     commutator,
     diag_orthogonal,
     eval_word,
@@ -291,8 +292,10 @@ def _item_l46(rng, ring, n):
     v = Vector(ring, [_nil_square(ring, rng)] + vp.comps + vdp.comps, copy=False)
     w = Vector(ring, [_nil_square(ring, rng)] + wp.comps + [ring.zero] * n, copy=False)
     spec = TransvectionSpec(ctx, v, w, _sample(ring, rng))
-    m1, m2, m3 = transvection_split3(spec)
-    if m1 @ m2 @ m3 == transvection_matrix(spec):
+    first, word = transvection_split3(spec)
+    m = transvection_matrix(first)
+    apply_word(m, word)
+    if m == transvection_matrix(spec):
         return None
     return _fail(ring, n, spec=spec.to_json())
 

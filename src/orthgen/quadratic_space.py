@@ -436,7 +436,7 @@ def _form_multiplier(M: Matrix, ctx: FormContext, mult):
                 want = acc
             else:
                 want = wants[0] if i == j else wants[1]
-            if not R.eq(acc, want):
+            if acc != want:
                 return None
     return mult
 
@@ -475,6 +475,18 @@ def monomial_pattern(M: Matrix):
     return sigma
 
 
+def _is_unitriangular(m: Matrix, upper: bool) -> bool:
+    R = m.ring
+    d = m.dim
+    for i in range(d):
+        if m.rows[i][i] != R.one:
+            return False
+        for j in range(i) if upper else range(i + 1, d):
+            if not R.is_zero(m.rows[i][j]):
+                return False
+    return True
+
+
 def unitriangular_inverse(M: Matrix) -> Matrix:
     """Inverse of a unitriangular matrix by back or forward substitution.
 
@@ -485,10 +497,8 @@ def unitriangular_inverse(M: Matrix) -> Matrix:
     R = M.ring
     d = M.dim
     rows = M.rows
-    upper = all(R.is_zero(rows[i][j]) for i in range(d) for j in range(i))
-    lower = all(R.is_zero(rows[i][j]) for i in range(d) for j in range(i + 1, d))
-    diag_one = all(R.eq(rows[i][i], R.one) for i in range(d))
-    if not (diag_one and (upper or lower)):
+    upper = _is_unitriangular(M, True)
+    if not (upper or _is_unitriangular(M, False)):
         raise NotUnipotent("matrix is not unitriangular")
     out = Matrix.identity(R, d)
     inv = out.rows

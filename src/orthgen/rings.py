@@ -125,7 +125,7 @@ class Ring:
                 return a
 
     # subclasses implement: zero, one, half, from_int, add, neg, mul,
-    # eq, is_zero, inv, show, to_json, from_json, sample
+    # is_zero, inv, show, to_json, from_json, sample
 
 
 class RationalField(Ring):
@@ -152,9 +152,6 @@ class RationalField(Ring):
 
     def mul(self, a, b):
         return a * b
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def is_zero(self, a) -> bool:
         return not a
@@ -214,9 +211,6 @@ class _ModularBase(Ring):
 
     def mul(self, a, b):
         return a * b % self.modulus
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -353,9 +347,6 @@ class TruncatedRing(Ring):
     def mul(self, a, b):
         return tuple(_convolve(self.base, a, b, self.e))
 
-    def eq(self, a, b) -> bool:
-        return a == b
-
     def is_zero(self, a) -> bool:
         B = self.base
         return all(B.is_zero(c) for c in a)
@@ -444,9 +435,6 @@ class PolynomialRing(Ring):
         if not a or not b:
             return ()
         return self.make(_convolve(self.base, a, b, len(a) + len(b) - 1))
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def is_zero(self, a) -> bool:
         return a == ()
@@ -550,9 +538,6 @@ class LaurentRing(Ring):
         if not ca or not cb:
             return (0, ())
         return self.make(oa + ob, _convolve(self.base, ca, cb, len(ca) + len(cb) - 1))
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def is_zero(self, a) -> bool:
         return a[1] == ()
@@ -680,9 +665,9 @@ class Scalar:
         if isinstance(other, Scalar):
             if other.ring != self.ring:
                 return False
-            return self.ring.eq(self.payload, other.payload)
+            return self.payload == other.payload
         if isinstance(other, int) and not isinstance(other, bool):
-            return self.ring.eq(self.payload, self.ring.from_int(other))
+            return self.payload == self.ring.from_int(other)
         return NotImplemented
 
     def __hash__(self) -> int:

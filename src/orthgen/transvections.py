@@ -19,10 +19,12 @@ no transvection from outer products and multiply none in as a dense
 matrix.
 
 The three-factor splitting (transvection_split3) assumes the w block
-shape (w0, w', 0); its border rows carry the sign of the normalization
-above, while the interior blocks agree with the diagonal/alternating
-factors one expects: alpha = I - x*w'*(v'')^T with inverse transpose
-I + x*v''*(w')^T, and middle block x*(v'*(w')^T - w'*(v')^T).
+shape (w0, w', 0) and returns its factors as a transvection and a
+letter word: the block-diagonal factor diag(1, alpha, alpha^-T), with
+alpha = I - x*w'*(v'')^T, is itself the transvection
+E((0, w', 0), (0, 0, v''), -x); the alternating middle block
+x*(v'*(w')^T - w'*(v')^T) is a run of F4 letters, and the border rows
+are F2 and F1 letters.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from .errors import (
     RingMismatch,
     UnknownItem,
 )
+from .generators import GenLabel, Word
 from .quadratic_space import (
     FormContext,
     Matrix,
     Vector,
-    embed_blocks,
     is_orthogonal,
     similitude_multiplier,
 )
@@ -65,7 +67,7 @@ class TransvectionSpec:
     v and w are plain Vectors of length ctx.dim, over any ring, with
     q(v) = 0 and phi(v, w) = 0; x is a Scalar over the same ring.  The
     kernel and everything built on it trust a spec and re-check nothing,
-    so its vectors are not to be changed afterwards.
+    so the spec keeps its own copies of v and w.
     """
 
     __slots__ = ("ctx", "v", "w", "x")
@@ -80,8 +82,8 @@ class TransvectionSpec:
         if not ctx.phi(v, w) == 0:
             raise HypothesisViolated("phi(v, w) must vanish")
         self.ctx = ctx
-        self.v = v
-        self.w = w
+        self.v = Vector(R, v.comps)
+        self.w = Vector(R, w.comps)
         self.x = x
 
     def __repr__(self) -> str:
@@ -116,7 +118,7 @@ class OrderIdealWitness:
             if c.ring != R or s.ring != R:
                 raise RingMismatch("witness parts must share one ring")
             acc = R.add(acc, R.mul(c.payload, s.payload))
-        if not R.eq(acc, target.payload):
+        if acc != target.payload:
             raise BadWitness("combination does not reproduce the target")
         self.target = target
         self.combiners = combiners
@@ -286,7 +288,7 @@ def is_alternating(m: Matrix) -> bool:
         if not R.is_zero(m.rows[i][i]):
             return False
         for j in range(i + 1, m.dim):
-            if not R.eq(m.rows[i][j], R.neg(m.rows[j][i])):
+            if m.rows[i][j] != R.neg(m.rows[j][i]):
                 return False
     return True
 
@@ -307,7 +309,7 @@ def solve_alternating(v: Vector, w: Vector, witness: OrderIdealWitness) -> Matri
     if len(witness.sources) != len(w):
         raise BadWitness("witness must combine the entries of w")
     for s, ent in zip(witness.sources, w.comps):
-        if not R.eq(s.payload, ent):
+        if s.payload != ent:
             raise BadWitness("witness sources disagree with w")
     c = [coef.payload for coef in witness.combiners]
     rows = []
@@ -319,56 +321,53 @@ def solve_alternating(v: Vector, w: Vector, witness: OrderIdealWitness) -> Matri
     return Matrix(R, rows, copy=False)
 
 
-def _split3_blocks(spec: TransvectionSpec):
-    ctx, x = spec.ctx, spec.x
+def transvection_split3(spec: TransvectionSpec):
+    """Split E(v, (w0, w', 0), x) as E(first) * eval(word); returns (first, word).
+
+    first = E((0, w', 0), (0, 0, v''), -x) is diag(1, alpha, alpha^-T)
+    with alpha = I - x*w'*(v'')^T.  The word holds F4_ij(x*(v'_i*w'_j -
+    w'_i*v'_j)) for i < j, the alternating middle block, then
+    F2_i(-x*w0*v''_i) and F1_i(x*(v0*w'_i - w0*v'_i)) for the border
+    rows; zero letters are left out.  q(v) = 0 and phi(v, w) = 0 with
+    the center checks below give v'.v'' = v''.w' = 0, which kills
+    every cross term between the factors.
+    """
+    ctx = spec.ctx
+    if not ctx.odd:
+        raise IndexOutOfRange("the three-factor splitting lives in the odd space")
+    x = spec.x
     R = x.ring
     n = ctx.n
-    v, w = spec.v.comps, spec.w.comps
-    v0, w0 = spec.v[0], spec.w[0]
-    vp, vdp = Vector(R, v[1:n + 1]), Vector(R, v[n + 1:])
-    wp = Vector(R, w[1:n + 1])
-
-    zero = Scalar(R, R.zero)
+    v, w = spec.v, spec.w
+    v0, w0 = v[0], w[0]
     checks = [
-        (all(R.is_zero(c) for c in w[n + 1:]), "w'' must vanish"),
-        (v0 * v0 == zero, "v0^2 must vanish"),
-        (w0 * w0 == zero, "w0^2 must vanish"),
-        (v0 * w0 == zero, "v0*w0 must vanish"),
-        (ctx.quad(spec.w) == zero, "q(w) must vanish"),
+        (all(R.is_zero(c) for c in w.comps[n + 1:]), "w'' must vanish"),
+        (v0 * v0 == 0, "v0^2 must vanish"),
+        (w0 * w0 == 0, "w0^2 must vanish"),
+        (v0 * w0 == 0, "v0*w0 must vanish"),
     ]
     for ok, why in checks:
         if not ok:
             raise HypothesisViolated(why)
 
-    eye = Matrix.identity(R, n)
-    alpha = eye - wp.outer(vdp).scale(x)
-    alpha_inv_t = eye + vdp.outer(wp).scale(x)
-    mid = (vp.outer(wp) - wp.outer(vp)).scale(x)
-    beta1 = vdp.scale(-(x * w0))
-    beta2 = wp.scale(x * v0) - vp.scale(x * w0)
-    return alpha, alpha_inv_t, mid, beta1, beta2
+    zeros = [R.zero] * n
+    wp = Vector(R, [R.zero] + w.comps[1:n + 1] + zeros, copy=False)
+    vdp = Vector(R, [R.zero] + zeros + v.comps[n + 1:], copy=False)
+    first = TransvectionSpec(ctx, wp, vdp, -x)
 
+    letters = []
 
-def transvection_split3(spec: TransvectionSpec):
-    """Split E(v, (w0, w', 0), x) into diagonal, middle, and border factors."""
-    ctx = spec.ctx
-    if not ctx.odd:
-        raise IndexOutOfRange("the three-factor splitting lives in the odd space")
-    R = spec.x.ring
-    n = ctx.n
-    alpha, alpha_inv_t, mid, beta1, beta2 = _split3_blocks(spec)
+    def emit(family, i, j, z):
+        if not z.is_zero():
+            letters.append(GenLabel(family, i, j, z))
 
-    m1 = embed_blocks(ctx, R, uu=alpha, vv=alpha_inv_t)
-    m2 = embed_blocks(ctx, R, uv=mid)
-    m3 = Matrix.identity(R, ctx.dim)
-    two = R.from_int(2)
-    for i in range(n):
-        ui, vi = i + 1, n + i + 1
-        m3.rows[0][ui] = beta1.comps[i]
-        m3.rows[0][vi] = beta2.comps[i]
-        m3.rows[ui][0] = R.neg(R.mul(two, beta2.comps[i]))
-        m3.rows[vi][0] = R.neg(R.mul(two, beta1.comps[i]))
-    return m1, m2, m3
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            emit("F4", i, j, x * (v[i] * w[j] - w[i] * v[j]))
+    for i in range(1, n + 1):
+        emit("F2", i, None, -(x * w0 * v[n + i]))
+        emit("F1", i, None, x * (v0 * w[i] - w0 * v[i]))
+    return first, Word(ctx, R, letters)
 
 
 def split_w_pair(v: Vector, w: Vector, y: Scalar, alpha: Matrix):
@@ -389,15 +388,11 @@ def split_w_pair(v: Vector, w: Vector, y: Scalar, alpha: Matrix):
     n = ctx.n
     if alpha.dim != n + 1:
         raise IndexOutOfRange(f"alpha must have size {n + 1}")
-    zero = Scalar(R, R.zero)
+    TransvectionSpec(ctx, v, w, y)  # q(v) = 0 and phi(v, w) = 0
     v0, w0 = v[0], w[0]
-    if not ctx.quad(v) == zero:
-        raise HypothesisViolated("q(v) must vanish")
-    if not ctx.phi(v, w) == zero:
-        raise HypothesisViolated("phi(v, w) must vanish")
-    if not v0 * v0 == zero:
+    if not v0 * v0 == 0:
         raise HypothesisViolated("v0^2 must vanish")
-    if not v0 * w0 == zero:
+    if not v0 * w0 == 0:
         raise HypothesisViolated("v0*w0 must vanish")
     if not is_alternating(alpha):
         raise HypothesisViolated("alpha must be alternating")

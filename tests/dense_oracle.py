@@ -141,7 +141,7 @@ def unitriangular_series(M):
     d = M.dim
     upper = all(R.is_zero(M.rows[i][j]) for i in range(d) for j in range(i))
     lower = all(R.is_zero(M.rows[i][j]) for i in range(d) for j in range(i + 1, d))
-    diag_one = all(R.eq(M.rows[i][i], R.one) for i in range(d))
+    diag_one = all(M.rows[i][i] == R.one for i in range(d))
     if not (diag_one and (upper or lower)):
         raise NotUnipotent("matrix is not unitriangular")
     ident = Matrix.identity(R, d)

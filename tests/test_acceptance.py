@@ -283,7 +283,7 @@ def test_criterion_4_block_words_recompose(capsys):
 def _to_letter_ok(letter, ring):
     if letter.family in ("F1", "F3", "F4"):
         return True
-    return letter.family == "F2" and ring.eq(letter.param.payload, ring.half)
+    return letter.family == "F2" and letter.param.payload == ring.half
 
 
 def test_criterion_5_triangular_monomial_triangular(capsys):

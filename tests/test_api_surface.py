@@ -6,7 +6,9 @@ beyond its own definition and its __all__ entry.  Letters are checked
 only where a Word is built, and the unchecked letter kernel is reached
 only from the two modules that apply letters.  Transvections have one
 checked spec and one kernel entry, and the vector type and matrix
-builder they replaced are gone.
+builder they replaced are gone.  A decomposition record splits its
+monomial core once, in its constructor, and the three-factor splitting
+builds no dense block matrix.
 """
 
 import ast
@@ -100,3 +102,12 @@ def test_transvections_have_one_spec_and_one_kernel_entry():
     kernel = [node for node in ast.walk(trees["transvections.py"])
               if isinstance(node, ast.FunctionDef) and node.name == "apply_transvection"]
     assert [arg.arg for arg in kernel[0].args.args] == ["m", "spec", "left"]
+
+
+def test_certified_factors_are_split_or_built_once():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    sites = [(name, site) for name, tree in trees.items()
+             for site in _call_sites(tree, "mo_split")]
+    assert sites == [("decompose.py", "TmtDecomposition.__init__")]
+    assert not {"embed_blocks", "outer"} & _names(trees["transvections.py"])

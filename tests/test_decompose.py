@@ -561,9 +561,21 @@ def test_local_recompose_rejects_a_non_monomial_core():
     dec = local_decompose(alpha, CTX3)
     dense = dec.mu.copy()
     dense.rows[0][1] = Z9.one
-    record = LocalDecomposition(dec.tau1, dense, dec.tau2, dec.residual)
+    # The record certifies its core when it is built, so recompose never sees it.
     with pytest.raises(NotMonomial):
-        record.recompose()
+        LocalDecomposition(dec.tau1, dense, dec.tau2, dec.residual)
+
+
+def test_local_record_checks_its_tower_words():
+    # F2 at one half lifts to the half upstairs, so it stays in the tower.
+    half_w = _lift_word(Word(CTX3, F3, [GenLabel("F2", 1, None, Scalar(F3, F3.half))]), Z9)
+    eye = Matrix.identity(Z9, 7)
+    empty = Word(CTX3, Z9, ())
+    record = LocalDecomposition(half_w, eye, empty, eye)
+    assert record.recompose() == eval_word(half_w)
+    bad_w = Word(CTX3, Z9, [GenLabel("F2", 1, None, _s(Z9, 1))])
+    with pytest.raises(NotTOShape):
+        LocalDecomposition(empty, eye, bad_w, eye)
 
 
 def test_local_rejections():

@@ -8,13 +8,14 @@ and a counting guard keeps the letter check at that one place: the
 field decomposition checks each letter of its result once, and its
 recomposition checks none; the local decomposition and its
 recomposition apply their words in turn, building no product word that
-re-checks them.  apply_word checks the matrix's size and
+re-checks them, and each record splits its core once, when it is built.  apply_word checks the matrix's size and
 ring.  The product-free form test is_orthogonal is checked against
 M^T * gram * M == gram.  A counting guard keeps dense products out of
 word evaluation, both decompositions, their recomposition, the
 certificate check, unitriangular inversion, the triangular block
-factorization and the identity suite's transvection, commutator and
-conjugation items, and form tests out of the field decomposition.  The
+factorization and the identity suite's transvection, splitting,
+commutator and conjugation items, and form tests out of the field
+decomposition.  The
 similitude multiplier read by pairing columns is checked against the
 gram transport.  The local decomposition, which carries its monomial
 core as PERM and DIAG letters, is checked against the dense
@@ -232,23 +233,32 @@ def test_the_local_path_applies_its_factors_in_turn(monkeypatch):
     ctx = FormContext(8)
     alpha = eval_word(random_word(ctx, Z9, random.Random(5), 32))
     checks = [0]
+    splits = [0]
     plain = generators._validate_letter
+    plain_split = decompose.mo_split
 
     def counted(*args):
         checks[0] += 1
         return plain(*args)
 
+    def counted_split(*args):
+        splits[0] += 1
+        return plain_split(*args)
+
     monkeypatch.setattr(generators, "_validate_letter", counted)
+    monkeypatch.setattr(decompose, "mo_split", counted_split)
     dec = local_decompose(alpha, ctx)
-    # The residue's decomposition and its core (k + 2 letters, k the
-    # tower letters), the core again, the lifted words and their
-    # inverses; no product word re-checks them.
+    # The residue's record and its core (k + 2 letters, k the tower
+    # letters), the lifted words and their inverses, and the lifted
+    # record's core; no product word re-checks them.
     k = len(dec.tau1) + len(dec.tau2)
     assert (k, checks[0]) == (61, 3 * (k + 2) + 2) == (61, 191)
-    checks[0] = 0
+    # Each record splits its core once, when it is built.
+    assert splits[0] == 2
+    checks[0] = splits[0] = 0
     assert dec.recompose() == alpha
-    # Only the PERM and DIAG letters of the core that mo_split reads off mu.
-    assert checks[0] == 2
+    # The record applies the core it holds: no letter is checked again.
+    assert (checks[0], splits[0]) == (0, 0)
 
 
 def _two_products(m, ctx):
@@ -439,10 +449,11 @@ def test_letters_never_take_a_dense_product(monkeypatch):
         word = factor_to(shape, block_ctx)
         assert calls[0] == 0
         assert eval_word(word) == shape
-    # One sample of each law, of the w-split and of the commutator and
-    # conjugation items: transvections and letters only, never a product.
+    # One sample of each law, of the three-factor and w-splits and of the
+    # commutator and conjugation items: transvections and letters only,
+    # never a product.
     for item in ("L2.3.i", "L2.3.ii", "L2.3.iii", "L2.3.iv", "L2.3.v",
-                 "T4.8", "D2.7.comm", "C4.13", "L4.16", "L5.6"):
+                 "L4.6", "T4.8", "D2.7.comm", "C4.13", "L4.16", "L5.6"):
         assert run_suite([item], 1, 1).total_failures == 0
         assert calls[0] == 0, item
 

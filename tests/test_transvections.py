@@ -14,7 +14,7 @@ from orthgen.errors import (
     RingMismatch,
     UnknownItem,
 )
-from orthgen.generators import GenLabel, Word, eval_word, gen_F, gen_oe, random_word
+from orthgen.generators import GenLabel, Word, apply_word, eval_word, gen_F, gen_oe, random_word
 from orthgen.quadratic_space import (
     FormContext,
     Matrix,
@@ -390,45 +390,65 @@ def _split3_spec(ring, vp, vdp, wp, x, v0=0, w0=0, wdp=None):
     return TransvectionSpec(FormContext(len(vp)), v, w, Scalar(ring, ring.from_int(x)))
 
 
+def _split3_product(spec):
+    """E(first) * eval(word) for the splitting of spec, applied as a transvection and letters."""
+    first, word = transvection_split3(spec)
+    m = transvection_matrix(first)
+    apply_word(m, word)
+    return m
+
+
 def test_split3_zero_parameter_gives_identities():
     spec = _split3_spec(QQ, [1, 2, 3], [3, 0, -1], [0, 1, 0], 0)
-    m1, m2, m3 = transvection_split3(spec)
-    eye = Matrix.identity(QQ, 7)
-    assert (m1, m2, m3) == (eye, eye, eye)
+    first, word = transvection_split3(spec)
+    assert transvection_matrix(first) == Matrix.identity(QQ, 7)
+    assert word.letters == ()
 
 
 def test_split3_recomposes_and_block_shapes():
     spec = _split3_spec(QQ, [1, 2, 3], [3, 0, -1], [0, 1, 0], 5)
-    m1, m2, m3 = transvection_split3(spec)
-    assert m1 @ m2 @ m3 == transvection_matrix(spec)
-    # m1 is block diagonal with inverse-transpose lower block.
+    first, word = transvection_split3(spec)
+    assert _split3_product(spec) == transvection_matrix(spec)
+    # first is block diagonal with inverse-transpose lower block.
+    m1 = transvection_matrix(first)
     upper = Matrix(QQ, [[m1.rows[1 + i][1 + j] for j in range(3)] for i in range(3)])
     lower = Matrix(QQ, [[m1.rows[4 + i][4 + j] for j in range(3)] for i in range(3)])
     assert upper.transpose() @ lower == Matrix.identity(QQ, 3)
-    assert m3 == Matrix.identity(QQ, 7)  # borders vanish when v0 = w0 = 0
+    assert upper != Matrix.identity(QQ, 3)
+    off = [(r, c) for r in range(7) for c in range(7)
+           if (r == 0) != (c == 0) or (r and c and (r <= 3) != (c <= 3))]
+    assert all(QQ.is_zero(m1.rows[r][c]) for r, c in off)
+    # borders vanish when v0 = w0 = 0: only the middle block's F4 letters
+    assert word.letters and {l.family for l in word.letters} == {"F4"}
 
 
 def test_split3_nilpotent_centers():
     spec = _split3_spec(Z9, [1, 2, 3], [3, 0, -1], [0, 1, 0], 4, v0=3, w0=3)
-    m1, m2, m3 = transvection_split3(spec)
-    assert m3 != Matrix.identity(Z9, 7)
-    assert m1 @ m2 @ m3 == transvection_matrix(spec)
+    _, word = transvection_split3(spec)
+    assert {"F1", "F2"} <= {l.family for l in word.letters}
+    assert _split3_product(spec) == transvection_matrix(spec)
 
 
 def test_split3_random_isotropic_data():
+    # L4.6's draws, with centers of square zero: 0 over a field, any
+    # multiple of 3 over Z/9, where the border letters show up.
     rng = random.Random(51)
-    for ring in (QQ, F5):
-        for _ in range(10):
+    for ring in (QQ, F5, Z9):
+        centers = [ring.zero] + ([3, 6] if ring is Z9 else [])
+        letters = set()
+        for _ in range(12):
             gamma = _alternating(ring, rng, 4)
             gamma2 = _alternating(ring, rng, 4)
             vp = Vector(ring, [ring.sample(rng) for _ in range(4)])
             vdp = gamma.apply(vp)
             wp = gamma2.apply(vdp)
-            v = Vector(ring, [ring.zero] + vp.comps + vdp.comps)
-            w = Vector(ring, [ring.zero] + wp.comps + [ring.zero] * 4)
-            spec = TransvectionSpec(CTX4, v, w, Scalar(ring, ring.sample(rng)))
-            m1, m2, m3 = transvection_split3(spec)
-            assert m1 @ m2 @ m3 == transvection_matrix(spec)
+            v = Vector(ring, [rng.choice(centers)] + vp.comps + vdp.comps)
+            w = Vector(ring, [rng.choice(centers)] + wp.comps + [ring.zero] * 4)
+            x = Scalar(ring, ring.sample(rng))
+            spec = TransvectionSpec(CTX4, v, w, x)
+            assert _split3_product(spec) == transvection_formula(CTX4, v, w, x)
+            letters |= {l.family for l in transvection_split3(spec)[1].letters}
+        assert letters == ({"F1", "F2", "F4"} if ring is Z9 else {"F4"})
 
 
 def test_split3_hypothesis_checks():
@@ -535,6 +555,18 @@ def test_split_w_pair_rejects_bad_inputs():
         split_w_pair(_vec(QQ, [0] * 6), _vec(QQ, [0] * 6), _s(QQ, 1), Matrix.zeros(QQ, 4))
 
 
+def test_split_w_pair_checks_the_transvection_hypotheses():
+    # q(v) = 1 and phi(v, w) = 1 together: q(v) is reported first.
+    v = _vec(QQ, [0, 1, 0, 0, 1, 0, 0])
+    w = _vec(QQ, [0, 1, 0, 0, 0, 0, 0])
+    zero = Matrix.zeros(QQ, 4)
+    with pytest.raises(HypothesisViolated, match=r"^q\(v\) must vanish$"):
+        split_w_pair(v, w, _s(QQ, 1), zero)
+    v = _vec(QQ, [0, 1, 0, 0, 0, 0, 0])
+    with pytest.raises(HypothesisViolated, match=r"^phi\(v, w\) must vanish$"):
+        split_w_pair(v, _vec(QQ, [0, 0, 0, 0, 1, 0, 0]), _s(QQ, 1), zero)
+
+
 # --- spec objects and JSON --------------------------------------------------
 
 
@@ -542,7 +574,8 @@ def test_spec_constructor_checks():
     v = _basis(F7, 7, CTX3.u(1))
     w = _basis(F7, 7, CTX3.u(2))
     spec = TransvectionSpec(CTX3, v, w, _s(F7, 2))
-    assert spec.ctx is CTX3 and spec.v is v and spec.w is w
+    assert spec.ctx is CTX3 and (spec.v, spec.w) == (v, w)
+    assert spec.v is not v and spec.w is not w
     with pytest.raises(HypothesisViolated):
         TransvectionSpec(CTX3, _basis(F7, 7, 0), w, _s(F7, 2))
     with pytest.raises(HypothesisViolated):
@@ -555,6 +588,20 @@ def test_spec_constructor_checks():
         TransvectionSpec(CTX4, v, w, _s(F7, 2))
     with pytest.raises(IndexOutOfRange):
         TransvectionSpec(ECTX3, v, w, _s(F7, 2))
+
+
+def test_spec_keeps_its_own_vectors():
+    # Changing the caller's vectors after the one check must not reach
+    # the spec: here v would get q(v) = 1 and E would leave the group.
+    v = _basis(QQ, 7, CTX3.u(1))
+    w = _basis(QQ, 7, CTX3.u(2))
+    spec = TransvectionSpec(CTX3, v, w, _s(QQ, 3))
+    expected = transvection_formula(CTX3, v, w, _s(QQ, 3))
+    v.comps[CTX3.v(1)] = QQ.one
+    w.comps[0] = QQ.one
+    assert spec.v == _basis(QQ, 7, CTX3.u(1)) and spec.w == _basis(QQ, 7, CTX3.u(2))
+    assert transvection_matrix(spec) == expected
+    assert is_orthogonal(transvection_matrix(spec), CTX3)
 
 
 def test_spec_json_round_trip():
