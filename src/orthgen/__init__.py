@@ -48,7 +48,6 @@ from .transvections import (
     OrderIdealWitness,
     TransvectionSpec,
     solve_alternating,
-    transvection_law,
 )
 from .decompose import (
     HorrocksInstance,
@@ -114,7 +113,6 @@ __all__ = [
     "theta",
     "theta_conjugate",
     "tmt_decompose",
-    "transvection_law",
     "variable",
     "word_from_json",
     "word_to_json",

@@ -19,8 +19,13 @@ upper triangle, and the block-triangular shapes combine the two.
 Over a local scalar ring, local_decompose reduces mod the maximal
 ideal, decomposes the residue, lifts the letters (the monomial core
 among them, as PERM and DIAG letters) canonically, and certifies the
-remaining factor as orthogonal and congruent to the identity.  The Laurent-ring operations (theta conjugation and the
-certificate checker) close the loop for polynomial matrices.
+remaining factor as orthogonal and congruent to the identity.
+
+For polynomial matrices, theta_conjugate conjugates a matrix by the
+theta scaling over the Laurent ring and reports whether the result
+stays polynomial, and check_horrocks_instance verifies a splitting
+certificate.  The identities these rest on, such as the conjugation of
+X-divisible transvections (L5.1), are identity-suite items.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from __future__ import annotations
 from .errors import (
     BadIndex,
     DecompositionError,
-    HypothesisViolated,
     IndexOutOfRange,
     JSONFormatError,
     NonElementaryLetter,
@@ -45,18 +49,14 @@ from .generators import (
     GenLabel,
     Word,
     _apply_letter,
-    _check_perm,
-    _diag_entries,
     apply_word,
     eval_word,
-    theta,
     word_from_json,
     word_to_json,
 )
 from .quadratic_space import (
     FormContext,
     Matrix,
-    Vector,
     _is_unitriangular,
     is_orthogonal,
     matrices_congruent,
@@ -74,7 +74,7 @@ from .rings import (
     lift_scalar,
     residue_ring,
 )
-from .transvections import TransvectionSpec, is_alternating, transvection_matrix
+from .transvections import is_alternating
 
 __all__ = [
     "TmtDecomposition",
@@ -393,24 +393,29 @@ def _peel_pairs(alpha: Matrix, ctx: FormContext):
 def mo_split(mu: Matrix, ctx: FormContext) -> Word:
     """Split a monomial orthogonal matrix as a PERM letter times a DIAG letter.
 
-    mu equals sigma * diag exactly when each v-column entry is the
-    inverse of its partner u-column entry, the only entries of diag not
-    read off mu itself, so that is all that is compared.
+    The letters are read off mu's pattern, its center entry and its
+    u-column entries, and checked as any Word's letters are.  mu equals
+    sigma * diag exactly when each v-column entry is the inverse of its
+    partner u-column entry, the only entries of diag not read off mu
+    itself, so that is all that is compared.
     """
     _require_odd(ctx)
     R = mu.ring
     if mu.dim != ctx.dim:
         raise IndexOutOfRange(f"matrix must have size {ctx.dim}")
     pattern = monomial_pattern(mu)
-    image = _check_perm(ctx, [pattern[s] + 1 for s in range(ctx.dim)])
-    d0 = Scalar(R, mu.rows[pattern[0]][0])
-    d = tuple(Scalar(R, mu.rows[pattern[ctx.u(i)]][ctx.u(i)]) for i in range(1, ctx.n + 1))
-    entries = _diag_entries(ctx, d0, d)
+    image = tuple(pattern[s] + 1 for s in range(ctx.dim))
+
+    def entry(s):
+        return mu.rows[pattern[s]][s]
+
+    d0 = Scalar(R, entry(0))
+    d = tuple(Scalar(R, entry(ctx.u(i))) for i in range(1, ctx.n + 1))
+    core = Word(ctx, R, [GenLabel("PERM", param=image), GenLabel("DIAG", param=(d0, d))])
     for i in range(1, ctx.n + 1):
-        vi = ctx.v(i)
-        if mu.rows[pattern[vi]][vi] != entries[vi]:
+        if R.mul(entry(ctx.u(i)), entry(ctx.v(i))) != R.one:
             raise NotOrthogonal("monomial matrix is not orthogonal")
-    return Word(ctx, R, [GenLabel("PERM", param=image), GenLabel("DIAG", param=(d0, d))])
+    return core
 
 
 # --- lifting along a local ring's reduction ---------------------------------
@@ -504,62 +509,26 @@ def _entry_bounds_ok(m: Matrix, low: bool) -> bool:
     return True
 
 
-def theta_conjugate(beta, direction: int, ctx: FormContext, m=None):
-    """Conjugate by the theta scaling, reporting polynomiality.
+def theta_conjugate(beta: Matrix, direction: int, ctx: FormContext):
+    """Conjugate beta by the theta scaling, reporting polynomiality.
 
-    beta may be a Matrix or Word over a polynomial or Laurent ring, or a
-    TransvectionSpec over a polynomial ring whose parameter is divisible
-    by X and whose blocks avoid the center; for the latter the conjugate
-    is checked against the transvection at the scaled columns and
-    shifted parameter.  Returns (conjugate, flag) with flag true when no
-    entry has a negative power.
+    beta is a Matrix over a polynomial or Laurent ring.  The conjugate
+    theta^d * beta * theta^-d, d the direction, is taken over the Laurent
+    ring by applying THETA letters on both sides.  Returns (conjugate,
+    flag) with flag true when no entry has a negative power.
     """
     if direction not in (1, -1):
         raise BadIndex("direction must be +1 or -1")
-    spec = None
-    if isinstance(beta, TransvectionSpec):
-        spec = beta
-        if not (ctx.odd and spec.ctx.odd and spec.ctx.n == ctx.n):
-            raise IndexOutOfRange("spec rank disagrees with the context")
-        base = spec.x.ring
-        if not isinstance(base, PolynomialRing):
-            raise UnsupportedRing("transvection input must live over a polynomial ring")
-        if not (base.is_zero(spec.v.comps[0]) and base.is_zero(spec.w.comps[0])):
-            raise HypothesisViolated("transvection blocks must avoid the center")
-        if spec.x.payload and not base.base.is_zero(spec.x.payload[0]):
-            raise HypothesisViolated("transvection parameter must be divisible by X")
-        mat = transvection_matrix(spec)
-    elif isinstance(beta, Word):
-        mat = eval_word(beta)
-    elif isinstance(beta, Matrix):
-        mat = beta
-    else:
-        raise BadIndex("beta must be a Matrix, Word, or TransvectionSpec")
-
-    lmat = _laurent_matrix(mat)
-    L = lmat.ring
+    if not isinstance(beta, Matrix):
+        raise BadIndex("beta must be a Matrix")
+    lmat = _laurent_matrix(beta)
     if not is_orthogonal(lmat, ctx):
         raise NotOrthogonal("input does not preserve the form")
     conj = lmat.copy()
-    scaling = Word(ctx, L, [GenLabel("THETA", param=m, exp=direction)])
+    scaling = Word(ctx, lmat.ring, [GenLabel("THETA", exp=direction)])
     apply_word(conj, scaling, left=True)
     apply_word(conj, scaling.inverse())
-
-    if spec is not None and direction == 1 and (m is None or m == ctx.n + 1):
-        base = spec.x.ring
-        f = Scalar(base, base.make(list(spec.x.payload[1:]))) if spec.x.payload else Scalar(base, base.zero)
-        th = theta(ctx, L, m)
-        vL = th.apply(_laurent_vector(spec.v))
-        wL = th.apply(_laurent_vector(spec.w))
-        if conj != transvection_matrix(TransvectionSpec(ctx, vL, wL, laurent_of_poly(f))):
-            raise DecompositionError("conjugation identity failed")
     return conj, _entry_bounds_ok(conj, low=True)
-
-
-def _laurent_vector(v: Vector) -> Vector:
-    R = v.ring
-    L = LaurentRing(R.base)
-    return Vector(L, [laurent_of_poly(Scalar(R, a)).payload for a in v.comps], copy=False)
 
 
 # --- certificate checking ----------------------------------------------------

@@ -111,13 +111,6 @@ class Ring:
     def __call__(self, value) -> "Scalar":
         return Scalar(self, self.from_int(value))
 
-    def is_unit(self, a) -> bool:
-        try:
-            self.inv(a)
-        except NotAUnit:
-            return False
-        return True
-
     def sample_unit(self, rng):
         while True:
             a = self.sample(rng)
@@ -125,7 +118,7 @@ class Ring:
                 return a
 
     # subclasses implement: zero, one, half, from_int, add, neg, mul,
-    # is_zero, inv, show, to_json, from_json, sample
+    # is_zero, is_unit, inv, show, to_json, from_json, sample
 
 
 class RationalField(Ring):
@@ -795,7 +788,11 @@ def scalar_from_json(ring: Ring, obj) -> Scalar:
 
 
 def scalar_from_string(ring: Ring, s: str) -> Scalar:
-    """Parse a scalar from CLI text: an integer, a/b over Q, or scalar JSON."""
+    """Parse a scalar from CLI text: an integer, a/b over Q, or scalar JSON.
+
+    Over Q the text follows the JSON grammar -?N or -?N/D, so decimal and
+    exponent forms are refused rather than expanded.
+    """
     s = s.strip()
     if s.startswith("{"):
         try:
@@ -804,10 +801,7 @@ def scalar_from_string(ring: Ring, s: str) -> Scalar:
             raise JSONFormatError(f"bad scalar JSON: {exc}") from None
         return Scalar(ring, ring.from_json(obj))
     if ring.kind == "Q":
-        try:
-            return Scalar(ring, Fraction(s))
-        except (ValueError, ZeroDivisionError):
-            raise JSONFormatError(f"cannot parse rational {s!r}") from None
+        return Scalar(ring, ring.from_json(s))
     try:
         k = int(s, 10)
     except ValueError:

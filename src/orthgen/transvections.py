@@ -14,9 +14,10 @@ oe_ij(z) = E(e_i, e_delta(j), z).
 A TransvectionSpec checks those hypotheses once, when it is built.
 apply_transvection, the kernel's one entry, multiplies a matrix by its
 E(v, w, x) in place as two rank-1 line updates and checks only the
-matrix.  transvection_matrix and the laws go through it, so they build
-no transvection from outer products and multiply none in as a dense
-matrix.
+matrix.  transvection_matrix goes through it, so no transvection is
+built from outer products or multiplied in as a dense matrix.  The
+transvection laws themselves are identity-suite items (L2.3.i-v), which
+build both sides of each law with these two operations.
 
 The three-factor splitting (transvection_split3) assumes the w block
 shape (w0, w', 0) and returns its factors as a transvection and a
@@ -33,19 +34,11 @@ from .errors import (
     BadWitness,
     HypothesisViolated,
     IndexOutOfRange,
-    NotAUnit,
     NotOrthogonalPair,
     RingMismatch,
-    UnknownItem,
 )
 from .generators import GenLabel, Word
-from .quadratic_space import (
-    FormContext,
-    Matrix,
-    Vector,
-    is_orthogonal,
-    similitude_multiplier,
-)
+from .quadratic_space import FormContext, Matrix, Vector
 from .rings import Scalar
 
 __all__ = [
@@ -53,7 +46,6 @@ __all__ = [
     "OrderIdealWitness",
     "transvection_matrix",
     "apply_transvection",
-    "transvection_law",
     "solve_alternating",
     "transvection_split3",
     "split_w_pair",
@@ -200,86 +192,6 @@ def transvection_matrix(spec: TransvectionSpec) -> Matrix:
     m = Matrix.identity(spec.x.ring, spec.ctx.dim)
     apply_transvection(m, spec, left=True)
     return m
-
-
-_LAW_KEYS = ("i", "ii", "iii", "iv", "v")
-
-
-def _law(preconditions, verify) -> str:
-    for ok, reason in preconditions:
-        if not ok:
-            return f"skipped ({reason})"
-    return "equal" if verify() else "unequal"
-
-
-def transvection_law(key, ctx, u, v, w, a, b, alpha=None) -> str:
-    """Evaluate one transvection law, keyed "i".."v", on concrete data.
-
-    Returns "equal", "unequal", or "skipped (<why>)" when the law's
-    hypotheses fail on the input.  Law (v) needs alpha, a similitude of
-    the form; its multiplier is read by pairing alpha's columns and must
-    be a unit.  Each side of a law is applied to one running matrix by
-    the transvection kernel, so no two matrices are multiplied.
-    """
-    if key not in _LAW_KEYS:
-        raise UnknownItem(f"unknown transvection law {key!r}")
-    R = u.ring
-    if any(t.ring != R for t in (v, w, a, b) + (() if alpha is None else (alpha,))):
-        raise RingMismatch("law data must share one ring")
-    _check_lengths(ctx, u, v, w)
-    base = [(ctx.quad(u) == 0, "q(u) != 0"), (ctx.phi(u, v) == 0, "phi(u,v) != 0")]
-    ident = Matrix.identity(R, ctx.dim)
-
-    def product(*factors):
-        """The product of the factors' E(v, w, x), one spec per factor."""
-        out = transvection_matrix(TransvectionSpec(ctx, *factors[0]))
-        for f in factors[1:]:
-            apply_transvection(out, TransvectionSpec(ctx, *f))
-        return out
-
-    if key == "i":
-        return _law(base, lambda: is_orthogonal(product((u, v, a)), ctx)
-                    and product((u, u, a)) == ident)
-    if key == "ii":
-        return _law(base, lambda: product((u, v, a * b))
-                    == product((u.scale(a), v, b))
-                    == product((u, v.scale(a), b)))
-    if key == "iii":
-        return _law(base + [(ctx.phi(u, w) == 0, "phi(u,w) != 0")],
-                    lambda: product((u, v, a), (u, w, a)) == product((u, v + w, a)))
-    if key == "iv":
-        # Additivity in the first slot picks up a correction transvection
-        # inside the isotropic plane spanned by u and v.
-        def check_iv() -> bool:
-            fix = -(a * a * ctx.quad(w))
-            return (product((u, w, a), (v, w, a)) == product((u + v, w, a), (u, v, fix))
-                    and product((u, v, a), (v, u, a)) == ident)
-
-        return _law(base + [(ctx.quad(v) == 0, "q(v) != 0"),
-                            (ctx.phi(u, w) == 0, "phi(u,w) != 0"),
-                            (ctx.phi(v, w) == 0, "phi(v,w) != 0")], check_iv)
-
-    if alpha is None:
-        return "skipped (no similitude given)"
-    mult = similitude_multiplier(alpha, ctx)
-    if mult is None:
-        return "skipped (alpha is not a similitude)"
-    try:
-        mult_inv = mult.inv()
-    except NotAUnit:
-        return "skipped (similitude multiplier is not a unit)"
-
-    # alpha*E(u, v, b)*alpha^-1 == E(alpha u, alpha v, b/mu), cleared of
-    # the inverse by multiplying both sides by alpha on the right.
-    def check_v() -> bool:
-        lhs = alpha.copy()
-        apply_transvection(lhs, TransvectionSpec(ctx, u, v, b))
-        rhs = alpha.copy()
-        moved = TransvectionSpec(ctx, alpha.apply(u), alpha.apply(v), mult_inv * b)
-        apply_transvection(rhs, moved, left=True)
-        return lhs == rhs
-
-    return _law(base, check_v)
 
 
 def is_alternating(m: Matrix) -> bool:

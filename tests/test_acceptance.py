@@ -220,7 +220,7 @@ def test_criterion_2_generator_orthogonality(capsys):
                 cols[col] = Vector.from_scalars(P, comps)
             x = variable(P) * _rand_scalar(P, rng)
             spec = TransvectionSpec(CTX3, cols[s], cols[t], x)
-            m, _ = theta_conjugate(spec, 1 if rng.randrange(2) else -1, CTX3)
+            m, _ = theta_conjugate(transvection_matrix(spec), 1 if rng.randrange(2) else -1, CTX3)
             ctx = CTX3
         if not is_orthogonal(m, ctx):
             problems.append(f"{kind}/{fam} over {ring.descriptor} at n={n}")
@@ -359,7 +359,7 @@ def test_criterion_7_theta_polynomiality(capsys):
 
             f = _rand_scalar(P, rng)
             spec = TransvectionSpec(CTX3, col(P, s), col(P, t), variable(P) * f)
-            conj, polynomial = theta_conjugate(spec, 1, CTX3)
+            conj, polynomial = theta_conjugate(transvection_matrix(spec), 1, CTX3)
             if not polynomial:
                 problems.append(f"entries not polynomial over {base.descriptor}")
             expected = transvection_matrix(

@@ -8,7 +8,9 @@ only from the two modules that apply letters.  Transvections have one
 checked spec and one kernel entry, and the vector type and matrix
 builder they replaced are gone.  A decomposition record splits its
 monomial core once, in its constructor, and the three-factor splitting
-builds no dense block matrix.
+builds no dense block matrix.  The transvection laws and the theta
+conjugation identity live in the identity suite only, and a monomial
+core's letters are checked by the Word that holds them.
 """
 
 import ast
@@ -111,3 +113,16 @@ def test_certified_factors_are_split_or_built_once():
              for site in _call_sites(tree, "mo_split")]
     assert sites == [("decompose.py", "TmtDecomposition.__init__")]
     assert not {"embed_blocks", "outer"} & _names(trees["transvections.py"])
+
+
+def test_identities_live_in_the_suite_and_core_letters_are_checked_once():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert not any("transvection_law" in text for text in sources.values())
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    conj = [node for node in ast.walk(trees["decompose.py"])
+            if isinstance(node, ast.FunctionDef) and node.name == "theta_conjugate"]
+    assert [arg.arg for arg in conj[0].args.args] == ["beta", "direction", "ctx"]
+    assert not conj[0].args.kwonlyargs and conj[0].args.vararg is None
+    for helper in ("_check_perm", "_diag_entries"):
+        assert [name for name, tree in trees.items() if helper in _names(tree)] == ["generators.py"]

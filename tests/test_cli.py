@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,6 +256,18 @@ def test_gen_rejects_out_of_range_and_bad_ring():
                     "--n", "3", "--ring", "Q"])[0] == 2
     assert run_cli(["gen", "--fam", "OE", "--i", "1", "--z", "1", "--n", "3",
                     "--ring", "Q"])[0] == 2
+
+
+@pytest.mark.parametrize("z", ["1e5000", "1e10000000", "0.5", "+3", "1e3", "1/0"])
+def test_gen_reads_rationals_in_the_json_grammar_only(z, capsys):
+    # Decimal and exponent forms are refused before any expansion; a huge
+    # exponent once ran for seconds and then crashed while writing stdout.
+    started = time.perf_counter()
+    code, out = run_cli(["gen", "--fam", "F3", "--i", "1", "--j", "2", "--z", z,
+                         "--n", "3", "--ring", "Q"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+    assert time.perf_counter() - started < 1.0
 
 
 def test_decompose_domain_failures_exit_one(capsys):

@@ -32,6 +32,7 @@ from orthgen.decompose import (
     check_horrocks_instance,
     factor_to,
     local_decompose,
+    mo_split,
     tmt_decompose,
 )
 from orthgen.errors import (
@@ -49,6 +50,7 @@ from orthgen.generators import (
     GenLabel,
     Word,
     apply_word,
+    diag_orthogonal,
     eval_word,
     gen_F,
     perm_matrix,
@@ -456,6 +458,32 @@ def test_letters_never_take_a_dense_product(monkeypatch):
                  "L4.6", "T4.8", "D2.7.comm", "C4.13", "L4.16", "L5.6"):
         assert run_suite([item], 1, 1).total_failures == 0
         assert calls[0] == 0, item
+
+
+def test_mo_split_checks_its_letters_once(monkeypatch):
+    ctx = FormContext(3)
+    F5 = ring_from_string("Fp:5")
+    d = [Scalar(F5, F5.from_int(k)) for k in (2, 3, 4)]
+    mu = perm_matrix(ctx, F5, (1, 3, 2, 4, 6, 5, 7)) @ diag_orthogonal(ctx, Scalar(F5, F5.one), d)
+    counts = {"_check_perm": 0, "_diag_entries": 0}
+
+    def counting(name, plain):
+        def counted(*args):
+            counts[name] += 1
+            return plain(*args)
+
+        return counted
+
+    for name in counts:
+        counted = counting(name, getattr(generators, name))
+        for module in (generators, decompose):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    core = mo_split(mu, ctx)
+    # The PERM and DIAG letters are checked when their Word is built,
+    # and nowhere else.
+    assert counts == {"_check_perm": 1, "_diag_entries": 1}
+    assert eval_word(core) == mu
 
 
 @pytest.mark.parametrize("desc", ["Zpk:3:2", "Zpk:5:2", "trunc:F3:3"])

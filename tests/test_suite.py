@@ -1,14 +1,35 @@
 """Tests for the identity battery: registry, determinism, mutation guard."""
 
 import hashlib
+import random
 
 import pytest
 
 import orthgen.generators as generators
 from orthgen.cli import main
+from orthgen.decompose import theta_conjugate
 from orthgen.errors import UnknownItem
-from orthgen.identity_suite import ITEM_IDS, mutation_selftest, run_suite
-from orthgen.rings import canonical_json
+from orthgen.generators import theta
+from orthgen.identity_suite import (
+    ITEM_IDS,
+    _even_frame,
+    _law_frame,
+    _transvections,
+    mutation_selftest,
+    run_suite,
+)
+from orthgen.quadratic_space import FormContext, Vector
+from orthgen.rings import (
+    LaurentRing,
+    PolynomialRing,
+    PrimeField,
+    RationalField,
+    Scalar,
+    canonical_json,
+    laurent_of_poly,
+    variable,
+)
+from orthgen.transvections import TransvectionSpec, transvection_matrix
 
 
 def test_registry_is_closed_and_sorted():
@@ -93,3 +114,38 @@ def test_full_report_at_seed_42_is_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fb94314c115e77345116489fe5be07adcbbbc22c7a370156710a1d756c34aad2")
+
+
+def test_law_iv_and_theta_conjugation_are_not_vacuous():
+    # On draws from the suite's samplers, law (iv) without its correction
+    # factor and L5.1 against the unscaled frame both give unequal sides,
+    # while the identities as stated hold.
+    rng = random.Random(3)
+    ctx = FormContext(3)
+    broken = 0
+    for ring in (RationalField(), PrimeField(7)):
+        for _ in range(10):
+            u, v, w = _law_frame(ring, 3, rng)
+            a = Scalar(ring, ring.sample(rng))
+            fix = -(a * a * ctx.quad(w))
+            lhs = _transvections(ctx, (u, w, a), (v, w, a))
+            assert lhs == _transvections(ctx, (u + v, w, a), (u, v, fix))
+            broken += lhs != _transvections(ctx, (u + v, w, a))
+    assert broken >= 10
+
+    mismatched = 0
+    for base in (RationalField(), PrimeField(5)):
+        P, L = PolynomialRing(base), LaurentRing(base)
+        th = theta(ctx, L)
+        for _ in range(10):
+            frame = _even_frame(base, 3, rng)
+            cols = [[frame.rows[r][idx] for r in range(ctx.dim)] for idx in (1, 2)]
+            v, w = (Vector(P, [P.make([c]) for c in comps]) for comps in cols)
+            f = Scalar(P, P.make([base.sample(rng), base.one]))
+            conj, _ = theta_conjugate(
+                transvection_matrix(TransvectionSpec(ctx, v, w, variable(P) * f)), 1, ctx)
+            vl, wl = (Vector(L, [L.make(0, [c]) for c in comps]) for comps in cols)
+            fl = laurent_of_poly(f)
+            assert conj == transvection_matrix(TransvectionSpec(ctx, th.apply(vl), th.apply(wl), fl))
+            mismatched += conj != transvection_matrix(TransvectionSpec(ctx, vl, wl, fl))
+    assert mismatched == 20

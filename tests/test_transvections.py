@@ -1,4 +1,4 @@
-"""Tests for transvections, their laws, and the constructive splittings."""
+"""Tests for transvections, the suite's law checks, and the constructive splittings."""
 
 import random
 
@@ -10,11 +10,12 @@ from orthgen.errors import (
     BadWitness,
     HypothesisViolated,
     IndexOutOfRange,
+    NotAUnit,
     NotOrthogonalPair,
     RingMismatch,
-    UnknownItem,
 )
 from orthgen.generators import GenLabel, Word, apply_word, eval_word, gen_F, gen_oe, random_word
+from orthgen.identity_suite import _law_holds, run_suite
 from orthgen.quadratic_space import (
     FormContext,
     Matrix,
@@ -29,7 +30,6 @@ from orthgen.transvections import (
     is_alternating,
     solve_alternating,
     split_w_pair,
-    transvection_law,
     transvection_matrix,
     transvection_split3,
 )
@@ -282,10 +282,6 @@ def _law_data(ring, rng, ctx):
     return u, v, w, a, b
 
 
-def _laws(u, v, w, a, b, alpha=None):
-    return {k: transvection_law(k, CTX3, u, v, w, a, b, alpha=alpha) for k in LAWS}
-
-
 def test_laws_hold_on_admissible_data():
     rng = random.Random(23)
     for ring in (QQ, F7, Z9):
@@ -293,48 +289,29 @@ def test_laws_hold_on_admissible_data():
             u, v, w, a, b = _law_data(ring, rng, CTX3)
             lam = Scalar(ring, ring.sample_unit(rng))
             alpha = eval_word(random_word(CTX3, ring, rng, 6)).scale(lam)
-            report = _laws(u, v, w, a, b, alpha=alpha)
-            assert report == {k: "equal" for k in LAWS}
+            assert all(_law_holds(k, CTX3, u, v, w, a, b, alpha) for k in LAWS)
+    report = run_suite([f"L2.3.{k}" for k in LAWS], 23, 10)
+    assert report.total_failures == 0
 
 
-def test_laws_skip_reporting():
+def test_law_hypotheses_raise():
+    # A violated hypothesis is refused by the spec of the factor that
+    # needs it; run_suite records the error like any other item's.
     u, v, w, a, b = _law_data(QQ, random.Random(1), CTX3)
-    report = _laws(_basis(QQ, 7, 0), v, w, a, b)
-    assert all(report[k] == "skipped (q(u) != 0)" for k in ("i", "ii", "iii", "iv"))
-
-    bad_v = _basis(QQ, 7, CTX3.v(1))
-    report = _laws(_basis(QQ, 7, CTX3.u(1)), bad_v, w, a, b)
-    assert all(report[k] == "skipped (phi(u,v) != 0)" for k in ("i", "ii", "iii", "iv"))
-
-    report = _laws(u, v, w, a, b)
-    assert report["v"] == "skipped (no similitude given)"
+    for key in ("i", "ii", "iii", "iv"):
+        with pytest.raises(HypothesisViolated, match=r"q\(v\) must vanish"):
+            _law_holds(key, CTX3, _basis(QQ, 7, 0), v, w, a, b, None)
+        with pytest.raises(HypothesisViolated, match="must vanish"):
+            _law_holds(key, CTX3, _basis(QQ, 7, CTX3.u(1)), _basis(QQ, 7, CTX3.v(1)), w, a, b, None)
 
     shear = Matrix.identity(QQ, 7)
     shear.set(0, 1, 1)
-    report = _laws(u, v, w, a, b, alpha=shear)
-    assert report["v"] == "skipped (alpha is not a similitude)"
-
+    with pytest.raises(HypothesisViolated, match="alpha is not a similitude"):
+        _law_holds("v", CTX3, u, v, w, a, b, shear)
     three = Matrix.identity(Z9, 7).scale(_s(Z9, 3))
     u9, v9, w9, a9, b9 = _law_data(Z9, random.Random(2), CTX3)
-    report = _laws(u9, v9, w9, a9, b9, alpha=three)
-    assert report["v"] == "skipped (similitude multiplier is not a unit)"
-
-
-@pytest.mark.parametrize("key", LAWS)
-def test_laws_check_vector_lengths(key):
-    u, v, w, a, b = _law_data(QQ, random.Random(3), CTX3)
-    for bad in (_basis(QQ, 5, 1), _basis(QQ, 9, 1)):
-        for args in ((bad, v, w), (u, bad, w), (u, v, bad)):
-            with pytest.raises(IndexOutOfRange, match="vectors must have length 7"):
-                transvection_law(key, CTX3, *args, a, b)
-    with pytest.raises(RingMismatch):
-        transvection_law(key, CTX3, u, v, w, a, _s(F7, 1))
-
-
-def test_unknown_law_is_refused():
-    u, v, w, a, b = _law_data(QQ, random.Random(4), CTX3)
-    with pytest.raises(UnknownItem):
-        transvection_law("vi", CTX3, u, v, w, a, b)
+    with pytest.raises(NotAUnit):
+        _law_holds("v", CTX3, u9, v9, w9, a9, b9, three)
 
 
 # --- alternating solver ----------------------------------------------------
