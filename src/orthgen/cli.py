@@ -132,38 +132,28 @@ def _cmd_decompose(args) -> int:
         return _complain(str(exc), 2)
     upper = not args.lower
     try:
-        if args.mode == "unipotent":
-            ctx = FormContext(m.dim)
-            word = factor_unipotent(m, upper, ctx)
-            expect = embed_blocks(ctx, m.ring, uu=m, vv=unitriangular_inverse(m.transpose()))
-            out = word_to_json(word)
-            redone = eval_word(word)
-        elif args.mode == "alt":
-            ctx = FormContext(m.dim)
-            word = factor_alt(m, upper, ctx)
-            expect = embed_blocks(ctx, m.ring, uv=m) if upper else embed_blocks(ctx, m.ring, vu=m)
-            out = word_to_json(word)
-            redone = eval_word(word)
-        elif args.mode == "to":
-            word = factor_to(m, _odd_context(m))
-            expect = m
-            out = word_to_json(word)
-            redone = eval_word(word)
-        elif args.mode == "tmt":
-            dec = tmt_decompose(m, _odd_context(m))
-            expect = m
-            out = dec.to_json()
-            redone = dec.recompose()
+        if args.mode in ("tmt", "local"):
+            split = tmt_decompose if args.mode == "tmt" else local_decompose
+            dec = split(m, _odd_context(m))
+            expect, redone, render = m, dec.recompose(), dec.to_json
         else:
-            dec = local_decompose(m, _odd_context(m))
-            expect = m
-            out = dec.to_json()
-            redone = dec.recompose()
+            if args.mode == "unipotent":
+                ctx = FormContext(m.dim)
+                word = factor_unipotent(m, upper, ctx)
+                expect = embed_blocks(ctx, m.ring, uu=m, vv=unitriangular_inverse(m.transpose()))
+            elif args.mode == "alt":
+                ctx = FormContext(m.dim)
+                word = factor_alt(m, upper, ctx)
+                expect = embed_blocks(ctx, m.ring, uv=m) if upper else embed_blocks(ctx, m.ring, vu=m)
+            else:
+                word = factor_to(m, _odd_context(m))
+                expect = m
+            redone, render = eval_word(word), functools.partial(word_to_json, word)
         if args.check and redone != expect:
             raise OrthgenError("recomposition mismatch")
     except OrthgenError as exc:
         return _complain(str(exc), 1)
-    _emit(out)
+    _emit(render())  # past the try, so an unprintable result exits 2 through main
     return 0
 
 
@@ -313,7 +303,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(_fuse_scalar_flags(list(argv)))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OrthgenError as exc:
+        # What a verb does not handle itself, such as a result with an
+        # entry too large to print, exits 2 before anything is written.
+        return _complain(str(exc), 2)
 
 
 def main_entry() -> None:

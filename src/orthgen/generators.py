@@ -1,12 +1,13 @@
 """Named generators of the odd orthogonal group and words over them.
 
 The five F families are stored as one term table mapping each family to
-its elementary-matrix terms; gen_F is a direct transcription of that
-table, and the identity suite's mutation self-test perturbs the table to
-prove the test battery would notice a wrong sign.  Letters act on
-matrices through one kernel, entered by apply_word, as row and column
-operations read from the same table; no letter is multiplied in as a
-dense matrix.  Words are sequences of GenLabels, each checked once by
+its elementary-matrix terms, and the identity suite's mutation self-test
+perturbs the table to prove the test battery would notice a wrong sign.
+Letters act on matrices through one kernel, entered by apply_word, as
+row and column operations read from that table; no letter is multiplied
+in as a dense matrix.  The builders gen_F, gen_oe, perm_matrix,
+diag_orthogonal and theta are one-letter words evaluated by the same
+kernel.  Words are sequences of GenLabels, each checked once by
 _validate_letter when its Word is built (or loaded from JSON), so the
 kernel checks nothing; evaluation is left-to-right, and letter inverses
 are closed-form (F(z)^-1 = F(-z)), never numeric inversion.
@@ -113,12 +114,9 @@ def _f_terms(ctx: FormContext, R: Ring, family: str, i: int, j, z) -> list:
 
 def gen_F(ctx: FormContext, family: str, i: int, j, z: Scalar) -> Matrix:
     """The generator F^family with parameter z, from the term table."""
-    _check_f_indices(ctx, family, i, j)
-    R = z.ring
-    m = Matrix.identity(R, ctx.dim)
-    for r, c, coeff in _f_terms(ctx, R, family, i, j, z.payload):
-        m.rows[r][c] = R.add(m.rows[r][c], coeff)
-    return m
+    if family not in F_FAMILIES:
+        raise BadIndex(f"unknown F family {family!r}")
+    return eval_word(Word(ctx, z.ring, [GenLabel(family, i, j, z)]))
 
 
 def _check_oe_indices(ctx: FormContext, i: int, j: int) -> None:
@@ -141,13 +139,7 @@ def _oe_terms(ctx: FormContext, R: Ring, i: int, j: int, z) -> tuple:
 
 def gen_oe(ctx: FormContext, i: int, j: int, z: Scalar) -> Matrix:
     """The even-context generator oe_ij(z) = I + e_ij(z) - e_delta(j),delta(i)(z)."""
-    _check_oe_indices(ctx, i, j)
-    R = z.ring
-    terms = _oe_terms(ctx, R, i, j, z.payload)
-    m = Matrix.identity(R, ctx.dim)
-    for r, c, a in terms:
-        m.rows[r][c] = R.add(m.rows[r][c], a)
-    return m
+    return eval_word(Word(ctx, z.ring, [GenLabel("OE", i, j, z)]))
 
 
 def _check_perm(ctx: FormContext, pi) -> tuple:
@@ -164,11 +156,7 @@ def _check_perm(ctx: FormContext, pi) -> tuple:
 
 def perm_matrix(ctx: FormContext, ring: Ring, pi) -> Matrix:
     """The permutation matrix sigma with sigma*e_s = e_pi(s), pi an image tuple."""
-    pi = _check_perm(ctx, pi)
-    m = Matrix.zeros(ring, ctx.dim)
-    for s in range(ctx.dim):
-        m.rows[pi[s] - 1][s] = ring.one
-    return m
+    return eval_word(Word(ctx, ring, [GenLabel("PERM", param=tuple(pi))]))
 
 
 def _diag_entries(ctx: FormContext, d0: Scalar, d) -> list:
@@ -189,11 +177,7 @@ def _diag_entries(ctx: FormContext, d0: Scalar, d) -> list:
 
 def diag_orthogonal(ctx: FormContext, d0: Scalar, d) -> Matrix:
     """diag(d0, d1..dn, d1^-1..dn^-1); needs d0^2 = 1 and every d_i a unit."""
-    entries = _diag_entries(ctx, d0, d)
-    m = Matrix.identity(d0.ring, ctx.dim)
-    for s, x in enumerate(entries):
-        m.rows[s][s] = x
-    return m
+    return eval_word(Word(ctx, d0.ring, [GenLabel("DIAG", param=(d0, tuple(d)))]))
 
 
 def _theta_slots(ctx: FormContext, ring: Ring, m) -> int:
@@ -209,12 +193,7 @@ def _theta_slots(ctx: FormContext, ring: Ring, m) -> int:
 
 def theta(ctx: FormContext, ring: Ring, m=None) -> Matrix:
     """diag(X,...,X, 1,...,1) with X in the first m slots (default n+1)."""
-    m = _theta_slots(ctx, ring, m)
-    x = variable(ring)
-    out = Matrix.identity(ring, ctx.dim)
-    for s in range(m):
-        out.rows[s][s] = x.payload
-    return out
+    return eval_word(Word(ctx, ring, [GenLabel("THETA", param=m)]))
 
 
 _LETTER_FAMILIES = F_FAMILIES + ("OE", "PERM", "DIAG", "THETA")

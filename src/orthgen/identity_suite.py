@@ -43,7 +43,6 @@ from .quadratic_space import (
     one_perp,
     similitude_multiplier,
     split_blocks,
-    unitriangular_inverse,
 )
 from .rings import (
     LaurentRing,
@@ -303,16 +302,32 @@ def _item_s32_embed(rng, ring, n):
     return None
 
 
+def _t41_matrix(ctx, ring, lo, up):
+    """diag(1, alpha, alpha^-T) for alpha = lo*up, by column operations.
+
+    Each elementary factor I + c*e_ij of lo (by increasing column j) and
+    of up (by decreasing row i) multiplies the u block on the right,
+    column j += c * column i, and its inverse transpose I - c*e_ji the v
+    block, column i -= c * column j.
+    """
+    n, u, v = ctx.n, ctx.u(1), ctx.v(1)
+    factors = [(i, j, lo.rows[i][j]) for j in range(n) for i in range(j + 1, n)]
+    factors += [(i, j, up.rows[i][j]) for i in reversed(range(n)) for j in range(i + 1, n)]
+    m = Matrix.identity(ring, ctx.dim)
+    for i, j, c in factors:
+        m.col_add(u + j, u + i, c)
+        m.col_add(v + i, v + j, ring.neg(c))
+    return m
+
+
 def _item_t41(rng, ring, n):
     ctx = FormContext(n)
     lo = _unipotent(ring, n, False, rng)
     up = _unipotent(ring, n, True, rng)
-    alpha = lo @ up
-    alpha_t_inv = unitriangular_inverse(lo.transpose()) @ unitriangular_inverse(up.transpose())
-    m = embed_blocks(ctx, ring, uu=alpha, vv=alpha_t_inv)
+    m = _t41_matrix(ctx, ring, lo, up)
     if is_orthogonal(m, ctx):
         return None
-    return _fail(ring, n, alpha=alpha.to_json())
+    return _fail(ring, n, alpha=split_blocks(m, ctx)[0].to_json())
 
 
 def _item_t42(rng, ring, n):
@@ -457,27 +472,43 @@ def _item_l51(rng, P, n):
     return _fail(P, n, spec=spec.to_json(), reason="negative powers")
 
 
+def _l54_sides(ctx, P, beta0):
+    """theta*beta0 and beta0*t*theta over P, with the correction block.
+
+    t is the identity plus (1 - X)*a23^T*a33 on the u-v block and
+    (X - 1)*a11*a13 on the center row's v part; a23^T*a33 pairs the u
+    part of each v column of beta0 with the v part of another.  theta
+    acts as a THETA letter on each side and t as column operations.
+    """
+    n, base = ctx.n, beta0.ring
+    cols = [[row[n + 1 + j] for row in beta0.rows] for j in range(n)]
+    us = [Vector(base, col[1 : n + 1]) for col in cols]
+    vs = [Vector(base, col[n + 1 :]) for col in cols]
+    corr = Matrix(base, [[a.dot(b).payload for b in vs] for a in us], copy=False)
+    th = Word(ctx, P, [GenLabel("THETA")])
+    lifted = _constant_matrix_over(beta0, P)
+    lhs = lifted.copy()
+    apply_word(lhs, th, left=True)
+    for j in range(n):
+        for i in range(n):
+            c = corr.rows[i][j]
+            lifted.col_add(n + 1 + j, 1 + i, P.make([c, base.neg(c)]))
+        b = base.mul(beta0.rows[0][0], beta0.rows[0][n + 1 + j])
+        lifted.col_add(n + 1 + j, 0, P.make([base.neg(b), b]))
+    apply_word(lifted, th)
+    return lhs, lifted, corr
+
+
 def _item_l54(rng, P, n):
     base = P.base
     ctx = FormContext(n)
     d0 = Scalar(base, base.from_int(rng.choice((1, -1))))
     d = [_unit(base, rng) for _ in range(n)]
-    core = diag_orthogonal(ctx, d0, d)
-    X = variable(P)
-    one = Scalar(P, P.one)
-    th = theta(ctx, P)
+    core = Word(ctx, base, [GenLabel("DIAG", param=(d0, tuple(d)))])
     for families in (("F1", "F3", "F4"), ("F3", "F4")):
-        beta0 = eval_word(random_word(ctx, base, rng, 6, families=families)) @ core
-        a11 = beta0.rows[0][0]
-        a13 = [beta0.rows[0][n + 1 + j] for j in range(n)]
-        _, a23, _, a33 = split_blocks(beta0, ctx)
-        corr = a23.transpose() @ a33
-        t = embed_blocks(ctx, P, uv=_constant_matrix_over(corr, P).scale(one - X))
-        for j in range(n):
-            scale = Scalar(P, P.make([base.mul(a11, a13[j])]))
-            t.rows[0][n + 1 + j] = ((X - one) * scale).payload
-        lifted = _constant_matrix_over(beta0, P)
-        if th @ lifted != lifted @ t @ th:
+        beta0 = eval_word(random_word(ctx, base, rng, 6, families=families) * core)
+        lhs, rhs, corr = _l54_sides(ctx, P, beta0)
+        if lhs != rhs:
             return _fail(P, n, beta0=beta0.to_json(), families=list(families))
         if "F1" not in families and not is_alternating(corr):
             return _fail(P, n, beta0=beta0.to_json(), reason="correction not alternating")

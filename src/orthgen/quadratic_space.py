@@ -6,7 +6,11 @@ Its bilinear form is phi(x, y) = 2*x0*y0 + sum_i (x_ui*y_vi + x_vi*y_ui),
 with quadratic form q(x) = x0^2 + sum_i x_ui*x_vi, so phi(x, x) = 2*q(x).
 The even space drops the center coordinate and shifts everything down
 by one.  Matrices and vectors hold raw ring payloads; indexing hands
-back Scalars.
+back Scalars.  A matrix changes in place by line operations (row_add,
+col_add, row_scale, col_scale), through which the letter and
+transvection kernels act; the form tests pair columns and congruence
+compares entries, so the package takes no dense product and builds no
+matrix sum or difference.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ __all__ = [
     "monomial_pattern",
     "unitriangular_inverse",
     "matrices_congruent",
-    "matrix_in_ideal",
     "matrix_residue",
     "one_perp",
     "embed_blocks",
@@ -120,19 +123,6 @@ class Vector:
             acc = R.add(acc, R.mul(a, b))
         return Scalar(R, acc)
 
-    def outer(self, other: "Vector") -> "Matrix":
-        """self as a column times other as a row."""
-        R = self.ring
-        if other.ring != R:
-            raise RingMismatch(f"{R.descriptor} vs {other.ring.descriptor}")
-        rows = []
-        for a in self.comps:
-            if R.is_zero(a):
-                rows.append([R.zero] * len(other.comps))
-            else:
-                rows.append([R.mul(a, b) for b in other.comps])
-        return Matrix(R, rows, copy=False)
-
     def is_zero(self) -> bool:
         R = self.ring
         return all(R.is_zero(c) for c in self.comps)
@@ -192,6 +182,11 @@ class Matrix:
         return f"Matrix({R.descriptor}, dim={self.dim})\n{body}"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The dense product, which no module of the package takes.
+
+        It stays only because the benchmark builds its request pools
+        with it and its tracer counts the calls made to it.
+        """
         R = self.ring
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -216,23 +211,6 @@ class Matrix:
                         orow[j] = R.add(orow[j], R.mul(a, b))
             out.append(orow)
         return Matrix(R, out, copy=False)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        R = self.ring
-        if other.ring != R:
-            raise RingMismatch(f"{R.descriptor} vs {other.ring.descriptor}")
-        return Matrix(
-            R,
-            [[R.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            copy=False,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        R = self.ring
-        return Matrix(R, [[R.neg(a) for a in r] for r in self.rows], copy=False)
 
     def scale(self, x: Scalar) -> "Matrix":
         R = self.ring
@@ -515,18 +493,14 @@ def unitriangular_inverse(M: Matrix) -> Matrix:
     return out
 
 
-def matrix_in_ideal(M: Matrix, ideal: IdealDescriptor) -> bool:
-    R = M.ring
-    return all(ideal.member(R, a) for row in M.rows for a in row)
-
-
 def matrices_congruent(A: Matrix, B: Matrix, ideal: IdealDescriptor) -> bool:
-    """Entrywise membership of A - B in the ideal."""
-    if A.ring != B.ring:
-        raise RingMismatch(f"{A.ring.descriptor} vs {B.ring.descriptor}")
+    """Entrywise membership of A - B in the ideal, with no matrix built."""
+    R = A.ring
+    if B.ring != R:
+        raise RingMismatch(f"{R.descriptor} vs {B.ring.descriptor}")
     if A.dim != B.dim:
         raise IndexOutOfRange(f"dimension mismatch {A.dim} vs {B.dim}")
-    return matrix_in_ideal(A - B, ideal)
+    return all(ideal.member(R, R.add(a, R.neg(b))) for ra, rb in zip(A.rows, B.rows) for a, b in zip(ra, rb))
 
 
 def matrix_residue(M: Matrix) -> Matrix:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .errors import JSONFormatError, NotAUnit, RingMismatch, UnsupportedRing
@@ -121,6 +122,11 @@ class Ring:
     # is_zero, is_unit, inv, show, to_json, from_json, sample
 
 
+def _oversized() -> JSONFormatError:
+    """Python turns no int to or from a string of more than this many digits."""
+    return JSONFormatError(f"rational with more than {sys.get_int_max_str_digits()} digits is outside the JSON format")
+
+
 class RationalField(Ring):
     kind = "Q"
 
@@ -161,9 +167,12 @@ class RationalField(Ring):
         return str(a)
 
     def to_json(self, a):
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+        try:
+            if a.denominator == 1:
+                return str(a.numerator)
+            return f"{a.numerator}/{a.denominator}"
+        except ValueError:
+            raise _oversized() from None
 
     def from_json(self, obj):
         if isinstance(obj, bool):
@@ -172,11 +181,13 @@ class RationalField(Ring):
             return Fraction(obj)
         if isinstance(obj, str) and self._RAT.match(obj):
             num, _, den = obj.partition("/")
-            if den == "":
-                return Fraction(int(num))
-            if int(den) == 0:
+            try:
+                num, den = int(num), int(den) if den else None
+            except ValueError:
+                raise _oversized() from None
+            if den == 0:
                 raise JSONFormatError("zero denominator")
-            return Fraction(int(num), int(den))
+            return Fraction(num, den)
         raise JSONFormatError(f"bad rational {obj!r}")
 
     def sample(self, rng):
@@ -442,11 +453,6 @@ class PolynomialRing(Ring):
             raise NotAUnit(f"{self.show(a)} is not a unit constant in {self.descriptor}")
         return (self.base.inv(a[0]),)
 
-    def x_power(self, k: int):
-        if k < 0:
-            raise UnsupportedRing("negative powers of X need a Laurent ring")
-        return (self.base.zero,) * k + (self.base.one,)
-
     def show(self, a) -> str:
         return _poly_str(a, "X", self.base)
 
@@ -543,9 +549,6 @@ class LaurentRing(Ring):
         if len(ca) != 1 or not self.base.is_unit(ca[0]):
             raise NotAUnit(f"{self.show(a)} is not a unit monomial in {self.descriptor}")
         return (-o, (self.base.inv(ca[0]),))
-
-    def x_power(self, k: int):
-        return (k, (self.base.one,))
 
     def bounds(self, a):
         """(lowest, highest) exponent with a nonzero coefficient, or None."""

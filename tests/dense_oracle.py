@@ -1,58 +1,98 @@
 """Dense oracles kept for the tests.
 
-letter_matrix builds the matrix of one letter, the reference the sparse
-letter kernel is checked against; transvection_formula builds E(v, w, x)
-from outer products, the reference for the transvection kernel;
-gram is the form's matrix and orthogonal_inverse the form adjoint, and unitriangular_series the
+letter_matrix builds the matrix of one letter entry by entry, straight
+from the generator term table with its own slot arithmetic, the
+reference the letter kernel (and so every builder) is checked against;
+transvection_formula builds E(v, w, x) from outer products, the
+reference for the transvection kernel; gram is the form's matrix and
+orthogonal_inverse the form adjoint, and unitriangular_series the
 terminating Neumann series, against which unitriangular_inverse's
 substitution is checked; det is a division-free determinant that the
-tests use to check transvections and to test itself.
+tests use to check transvections and to test itself.  add, sub, neg and
+outer are the dense matrix sum, difference, negation and outer product,
+which the package itself never forms.
 """
 
-from orthgen.generators import (
-    F_FAMILIES,
-    _validate_letter,
-    diag_orthogonal,
-    gen_F,
-    gen_oe,
-    perm_matrix,
-    theta,
-)
-from orthgen.errors import NotUnipotent
+from orthgen import generators
+from orthgen.generators import F_FAMILIES, _validate_letter
+from orthgen.errors import NotUnipotent, RingMismatch
 from orthgen.quadratic_space import Matrix
-from orthgen.rings import Scalar
+from orthgen.rings import Scalar, variable
 
 
-def _invert_perm(pi) -> tuple:
-    out = [0] * len(pi)
-    for s, t in enumerate(pi):
-        out[t - 1] = s + 1
-    return tuple(out)
+def _same_ring(a, b):
+    if a.ring != b.ring:
+        raise RingMismatch(f"{a.ring.descriptor} vs {b.ring.descriptor}")
+    return a.ring
+
+
+def add(a, b):
+    """The entrywise sum a + b of two matrices."""
+    R = _same_ring(a, b)
+    return Matrix(R, [[R.add(x, y) for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)], copy=False)
+
+
+def neg(a):
+    """The entrywise negation -a."""
+    R = a.ring
+    return Matrix(R, [[R.neg(x) for x in r] for r in a.rows], copy=False)
+
+
+def sub(a, b):
+    """The entrywise difference a - b."""
+    return add(a, neg(b))
+
+
+def outer(v, w):
+    """v as a column times w as a row."""
+    R = _same_ring(v, w)
+    return Matrix(R, [[R.mul(x, y) for y in w.comps] for x in v.comps], copy=False)
+
+
+def _term_slot(ctx, name, i, j):
+    """The 0-based slot of a term-table name: the center, or u or v of index i or j."""
+    if name == "c":
+        return 0
+    idx = i if name.endswith("i") else j
+    return ctx.u(idx) if name.startswith("u") else ctx.v(idx)
 
 
 def letter_matrix(ctx, ring, letter):
     """The matrix of one letter, applying the closed-form inverse if exp = -1."""
     _validate_letter(ctx, ring, letter)
     fam, e = letter.family, letter.exp
-    if fam in F_FAMILIES:
-        z = letter.param if e == 1 else -letter.param
-        return gen_F(ctx, fam, letter.i, letter.j, z)
-    if fam == "OE":
-        z = letter.param if e == 1 else -letter.param
-        return gen_oe(ctx, letter.i, letter.j, z)
-    if fam == "PERM":
-        pi = letter.param if e == 1 else _invert_perm(letter.param)
-        return perm_matrix(ctx, ring, pi)
-    if fam == "DIAG":
+    m = Matrix.zeros(ring, ctx.dim) if fam == "PERM" else Matrix.identity(ring, ctx.dim)
+    rows = m.rows
+    if fam in F_FAMILIES or fam == "OE":
+        z = letter.param.payload if e == 1 else ring.neg(letter.param.payload)
+        if fam == "OE":
+            i, j = letter.i - 1, letter.j - 1
+            terms = ((i, j, z), (ctx.delta(j), ctx.delta(i), ring.neg(z)))
+        else:
+            powers = {1: z, 2: ring.mul(z, z)}
+            terms = [(_term_slot(ctx, r, letter.i, letter.j), _term_slot(ctx, c, letter.i, letter.j),
+                      ring.mul(ring.from_int(coeff), powers[power]))
+                     for r, c, coeff, power in generators._F_TERMS[fam]]
+        for r, c, a in terms:
+            rows[r][c] = ring.add(rows[r][c], a)
+    elif fam == "PERM":
+        # sigma*e_s = e_pi(s); the inverse sends e_pi(s) back to e_s.
+        for s, t in enumerate(letter.param):
+            r, c = (t - 1, s) if e == 1 else (s, t - 1)
+            rows[r][c] = ring.one
+    elif fam == "DIAG":
         d0, d = letter.param
+        d = [x.payload for x in d]
+        inv = [ring.inv(x) for x in d]
+        for s, x in enumerate([d0.payload] + (d + inv if e == 1 else inv + d)):
+            rows[s][s] = x
+    else:
+        x = variable(ring)
         if e == -1:
-            d = tuple(x.inv() for x in d)
-        return diag_orthogonal(ctx, d0, d)
-    out = theta(ctx, ring, letter.param)
-    if e == -1:
-        for s in range(ctx.dim):
-            out.rows[s][s] = ring.inv(out.rows[s][s])
-    return out
+            x = x.inv()
+        for s in range(ctx.n + 1 if letter.param is None else letter.param):
+            rows[s][s] = x.payload
+    return m
 
 
 def _dotrow(R, xs, ys):
@@ -111,8 +151,8 @@ def transvection_formula(ctx, v, w, x):
     """E(v, w, x) = I + x*(v*wt - w*vt) - x^2*q(w)*(v*vt), by dense outer products."""
     tv = ctx.tilde(v)
     tw = ctx.tilde(w)
-    m = Matrix.identity(v.ring, ctx.dim) + (v.outer(tw) - w.outer(tv)).scale(x)
-    return m - v.outer(tv).scale(x * x * ctx.quad(w))
+    m = add(Matrix.identity(v.ring, ctx.dim), sub(outer(v, tw), outer(w, tv)).scale(x))
+    return sub(m, outer(v, tv).scale(x * x * ctx.quad(w)))
 
 
 def orthogonal_inverse(M, ctx):
@@ -145,10 +185,10 @@ def unitriangular_series(M):
     if not (diag_one and (upper or lower)):
         raise NotUnipotent("matrix is not unitriangular")
     ident = Matrix.identity(R, d)
-    negn = ident - M
+    negn = sub(ident, M)
     acc = ident
     term = ident
     for _ in range(d - 1):
         term = term @ negn
-        acc = acc + term
+        acc = add(acc, term)
     return acc

@@ -336,7 +336,7 @@ def test_criterion_7_theta_polynomiality(capsys):
     for base in (QQ, F5):
         P = PolynomialRing(base)
         L = LaurentRing(base)
-        x_l = Scalar(L, L.x_power(1))
+        x_l = variable(L)
         for _ in range(50):
             frame = one_perp(eval_word(_even_word(base, rng, n=3)))
             s = rng.randrange(1, 7)

@@ -10,7 +10,10 @@ builder they replaced are gone.  A decomposition record splits its
 monomial core once, in its constructor, and the three-factor splitting
 builds no dense block matrix.  The transvection laws and the theta
 conjugation identity live in the identity suite only, and a monomial
-core's letters are checked by the Word that holds them.
+core's letters are checked by the Word that holds them.  The package
+takes no dense product and forms no matrix sum, difference or outer
+product; the letter builders are one-letter words run through the
+kernel, and the dense letter oracle in the tests is built without them.
 """
 
 import ast
@@ -20,6 +23,7 @@ import re
 from pathlib import Path
 
 import orthgen
+from orthgen.quadratic_space import Matrix, Vector
 
 PACKAGE_DIR = Path(orthgen.__file__).parent
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -126,3 +130,17 @@ def test_identities_live_in_the_suite_and_core_letters_are_checked_once():
     assert not conj[0].args.kwonlyargs and conj[0].args.vararg is None
     for helper in ("_check_perm", "_diag_entries"):
         assert [name for name, tree in trees.items() if helper in _names(tree)] == ["generators.py"]
+
+
+def test_no_dense_algebra_and_builders_go_through_the_kernel():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert [name for name, tree in trees.items()
+            if any(isinstance(node, ast.MatMult) for node in ast.walk(tree))] == []
+    assert not {"__add__", "__sub__", "__neg__"} & set(vars(Matrix))
+    assert "outer" not in vars(Vector)
+    builders = ("gen_F", "gen_oe", "perm_matrix", "diag_orthogonal", "theta")
+    assert set(builders) <= set(_call_sites(trees["generators.py"], "eval_word"))
+    oracle = ast.parse((Path(__file__).parent / "dense_oracle.py").read_text(encoding="utf-8"))
+    assert not (set(builders) | {"_f_terms", "_oe_terms", "_slot", "apply_word", "eval_word",
+                                 "_apply_letter"}) & _names(oracle)

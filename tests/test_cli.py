@@ -21,6 +21,7 @@ import orthgen
 from orthgen import cli
 from orthgen.cli import main
 from orthgen.decompose import HorrocksInstance
+from orthgen.errors import JSONFormatError
 from orthgen.generators import GenLabel, Word, eval_word, gen_F, perm_matrix, random_word
 from orthgen.quadratic_space import FormContext, Matrix, one_perp
 from orthgen.rings import (
@@ -98,8 +99,8 @@ def _horrocks_input():
     x_poly = variable(PQ)
     one_plus = Scalar(PQ, PQ.one) + x_poly
     alpha = gen_F(CTX3, "F1", 1, None, one_plus)
-    beta = gen_F(CTX3, "F1", 1, None, Scalar(LQ, LQ.x_power(-1)))
-    wit = laurent_of_poly(one_plus) - Scalar(LQ, LQ.x_power(-1))
+    beta = gen_F(CTX3, "F1", 1, None, variable(LQ) ** -1)
+    wit = laurent_of_poly(one_plus) - variable(LQ) ** -1
     witness = Word(CTX3, LQ, [GenLabel("F1", 1, None, wit)])
     return HorrocksInstance(alpha, beta, witness)
 
@@ -268,6 +269,27 @@ def test_gen_reads_rationals_in_the_json_grammar_only(z, capsys):
     assert (code, out) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")
     assert time.perf_counter() - started < 1.0
+
+
+def test_a_result_too_large_to_print_exits_two(capsys):
+    # z has 3000 digits, so the F1 entry z^2/2 has about 6000: more than
+    # Python will turn into a string.  It once escaped as a traceback.
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(["gen", "--fam", "F1", "--i", "1", "--z", "9" * 3000,
+                         "--n", "3", "--ring", "Q"])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == f"error: rational with more than {limit} digits is outside the JSON format\n"
+
+
+def test_decompose_serializes_outside_its_exit_one_branch(monkeypatch, capsys):
+    def unprintable(word):
+        raise JSONFormatError("too many digits")
+
+    monkeypatch.setattr(cli, "word_to_json", unprintable)
+    block = canonical_json(_mat(QQ, [[1, 2], [0, 1]]).to_json())
+    assert run_cli(["factor", "--mode", "unipotent", "--check"], block) == (2, "")
+    assert capsys.readouterr().err == "error: too many digits\n"
 
 
 def test_decompose_domain_failures_exit_one(capsys):

@@ -82,13 +82,13 @@ def _replace(obj, path, junk):
 PAYLOADS = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN.glob("*.in"))}
 
 
-def _mutate(draw, payload):
+def _mutate(draw, payload, junk_pool=JUNK):
     """payload with one or two positions replaced by junk or by another of its values."""
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(payload))
         path = draw(st.sampled_from(paths))
         donor = draw(st.sampled_from(paths))
-        junk = draw(st.sampled_from(JUNK) | st.just(_value_at(payload, donor)))
+        junk = draw(st.sampled_from(junk_pool) | st.just(_value_at(payload, donor)))
         payload = _replace(payload, path, junk)
     return payload
 

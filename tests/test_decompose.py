@@ -620,7 +620,7 @@ def test_theta_direction_inverts():
     th = theta(CTX3, LQ)
     th_inv = Matrix.identity(LQ, 7)
     for t in range(4):
-        th_inv.rows[t][t] = LQ.x_power(-1)
+        th_inv.rows[t][t] = (variable(LQ) ** -1).payload
     conj_plus, _ = theta_conjugate(w, 1, CTX3)
     conj_minus, _ = theta_conjugate(w, -1, CTX3)
     assert conj_plus == th @ over_l @ th_inv
@@ -719,14 +719,14 @@ def test_horrocks_negative_power_splitting():
     X = variable(PQ)
     one_plus = Scalar(PQ, PQ.one) + X
     alpha = gen_F(CTX3, "F1", 1, None, one_plus)
-    beta = gen_F(CTX3, "F1", 1, None, Scalar(LQ, LQ.x_power(-1)))
-    wit_param = laurent_of_poly(one_plus) - Scalar(LQ, LQ.x_power(-1))
+    beta = gen_F(CTX3, "F1", 1, None, variable(LQ) ** -1)
+    wit_param = laurent_of_poly(one_plus) - variable(LQ) ** -1
     witness = Word(CTX3, LQ, [GenLabel("F1", 1, None, wit_param)])
     verdict = check_horrocks_instance(HorrocksInstance(alpha, beta, witness))
     assert verdict["accepted"]
     assert verdict["beta_negative_powers"]
     # positive powers in beta break the bound check
-    beta_bad = gen_F(CTX3, "F1", 1, None, Scalar(LQ, LQ.x_power(1)))
+    beta_bad = gen_F(CTX3, "F1", 1, None, variable(LQ))
     verdict = check_horrocks_instance(HorrocksInstance(alpha, beta_bad, witness))
     assert not verdict["beta_negative_powers"]
     assert not verdict["accepted"]

@@ -34,7 +34,7 @@ from orthgen.generators import (
     word_to_json,
 )
 from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal, one_perp
-from orthgen.rings import PrimeField, RationalField, Scalar, canonical_json, ring_from_string
+from orthgen.rings import PrimeField, RationalField, Scalar, canonical_json, ring_from_string, variable
 
 from dense_oracle import letter_matrix, orthogonal_inverse
 from sampling import random_perm
@@ -321,7 +321,7 @@ def test_diag_conjugation_scales_parameters():
 def test_theta_shape_and_inverse():
     LQ = ring_from_string("laurent:Q")
     th = theta(CTX3, LQ, 4)
-    x = Scalar(LQ, LQ.x_power(1))
+    x = variable(LQ)
     expect = Matrix.identity(LQ, 7)
     for s in range(4):
         expect.set(s, s, x)

@@ -136,7 +136,8 @@ def test_kernel_reads_the_live_term_table(monkeypatch):
     z = Scalar(ring, 3)
     for family in sorted(original):
         i, j = (1, None) if family in ("F1", "F2") else (1, 2)
-        unmutated = gen_F(ODD, family, i, j, z)
+        letter = GenLabel(family, i, j, z)
+        unmutated = letter_matrix(ODD, ring, letter)
         for idx in range(len(original[family])):
             mutated = dict(original)
             terms = list(mutated[family])
@@ -144,9 +145,9 @@ def test_kernel_reads_the_live_term_table(monkeypatch):
             terms[idx] = (row, col, -coeff, power)
             mutated[family] = tuple(terms)
             monkeypatch.setattr(generators, "_F_TERMS", mutated)
-            dense = gen_F(ODD, family, i, j, z)
+            dense = letter_matrix(ODD, ring, letter)
             assert dense != unmutated
-            letter = GenLabel(family, i, j, z)
+            assert gen_F(ODD, family, i, j, z) == dense
             m = random_matrix(ring, ODD.dim, rng)
             assert _kernel(ODD, m, letter, left=True) == dense @ m
             assert _kernel(ODD, m, letter, left=False) == m @ dense

@@ -10,6 +10,8 @@ escape a loader; a loaded Word must evaluate with eval_word, and a
 loaded record's recompose() may raise nothing but an OrthgenError.  A
 load is evaluated only at the golden payload's own rank, since the junk
 pool holds 10**40 and the identity of that size must never be built.
+The loaders' pool adds digit strings longer than Python will turn into
+an int, which the rational loader must refuse with JSONFormatError.
 The runs are derandomized, with the CLI fuzz test's settings.
 """
 
@@ -20,11 +22,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orthgen.decompose import HorrocksInstance, LocalDecomposition, TmtDecomposition
-from orthgen.errors import BadIndex, OrthgenError
+from orthgen.errors import BadIndex, JSONFormatError, OrthgenError
 from orthgen.generators import eval_word, word_from_json
 from orthgen.quadratic_space import Matrix
+from orthgen.rings import RationalField
 
-from test_cli_fuzz import GOLDEN, PAYLOADS, SETTINGS, _mutate
+from test_cli_fuzz import GOLDEN, JUNK, PAYLOADS, SETTINGS, _mutate
+
+# Past sys.get_int_max_str_digits() (4300 by default) int() refuses a
+# digit string with ValueError.
+OVERSIZED = ("1" * 5000, "-" + "9" * 5000, "1/" + "3" * 5000, "7" * 5000 + "/2")
+LOADER_JUNK = JUNK + OVERSIZED
 
 
 def _golden(name):
@@ -71,7 +79,7 @@ LOADERS = {
 @st.composite
 def _payloads(draw, kind):
     golden = draw(st.sampled_from(LOADERS[kind][1]))
-    return golden, _mutate(draw, golden)
+    return golden, _mutate(draw, golden, LOADER_JUNK)
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
@@ -113,6 +121,14 @@ def test_letters_that_failed_at_evaluation_now_fail_at_load(letter):
     ring = "laurent:Q" if letter["fam"] == "THETA" else "Q"
     with pytest.raises(BadIndex):
         word_from_json({"n": 3, "ring": ring, "even": even, "letters": [letter]})
+
+
+@pytest.mark.parametrize("text", OVERSIZED, ids=["numerator", "negative", "denominator", "fraction"])
+def test_an_oversized_rational_is_a_format_error(text):
+    with pytest.raises(JSONFormatError):
+        RationalField().from_json(text)
+    with pytest.raises(JSONFormatError):
+        Matrix.from_json({"ring": "Q", "dim": 1, "entries": [[text]]})
 
 
 def test_a_huge_rank_is_refused_without_building_its_permutation():

@@ -1,4 +1,9 @@
-"""Tests for the identity battery: registry, determinism, mutation guard."""
+"""Tests for the identity battery: registry, determinism, mutation guard.
+
+The items that build their matrices by line operations (T4.1, L5.4) are
+checked against the dense products they replaced, and L2.3.iv is held
+to a floor of draws on which its correction term is alive.
+"""
 
 import hashlib
 import random
@@ -6,19 +11,32 @@ import random
 import pytest
 
 import orthgen.generators as generators
+from orthgen import identity_suite
 from orthgen.cli import main
-from orthgen.decompose import theta_conjugate
+from orthgen.decompose import _constant_matrix_over, theta_conjugate
 from orthgen.errors import UnknownItem
-from orthgen.generators import theta
+from orthgen.generators import GenLabel, Word, eval_word, random_word, theta
 from orthgen.identity_suite import (
     ITEM_IDS,
+    _POLY_RINGS,
+    _SCALAR_RINGS,
     _even_frame,
+    _l54_sides,
     _law_frame,
+    _t41_matrix,
     _transvections,
+    _unipotent,
+    _unit,
     mutation_selftest,
     run_suite,
 )
-from orthgen.quadratic_space import FormContext, Vector
+from orthgen.quadratic_space import (
+    FormContext,
+    Vector,
+    embed_blocks,
+    split_blocks,
+    unitriangular_inverse,
+)
 from orthgen.rings import (
     LaurentRing,
     PolynomialRing,
@@ -149,3 +167,60 @@ def test_law_iv_and_theta_conjugation_are_not_vacuous():
             assert conj == transvection_matrix(TransvectionSpec(ctx, th.apply(vl), th.apply(wl), fl))
             mismatched += conj != transvection_matrix(TransvectionSpec(ctx, vl, wl, fl))
     assert mismatched == 20
+
+
+def test_law_iv_correction_is_alive_on_most_suite_draws(monkeypatch):
+    # At seed 42 the correction a^2 q(w) is nonzero on 61 of 100 draws.
+    # Wrapping _law_holds to count them leaves the draws and the report
+    # as they are.
+    plain = canonical_json(run_suite(["L2.3.iv"], 42, 100).to_json())
+    original = identity_suite._law_holds
+    alive = []
+
+    def counting(key, ctx, u, v, w, a, b, alpha):
+        if key == "iv":
+            alive.append(not (a * a * ctx.quad(w)).is_zero())
+        return original(key, ctx, u, v, w, a, b, alpha)
+
+    monkeypatch.setattr(identity_suite, "_law_holds", counting)
+    report = run_suite(["L2.3.iv"], 42, 100)
+    assert canonical_json(report.to_json()) == plain
+    assert report.total_failures == 0
+    assert len(alive) == 100
+    assert sum(alive) >= 61
+
+
+def test_t41_column_operations_match_the_dense_blocks():
+    rng = random.Random(41)
+    for _ in range(60):
+        ring = _SCALAR_RINGS[rng.randrange(len(_SCALAR_RINGS))]
+        n = rng.choice((1, 2, 3, 5))
+        ctx = FormContext(n)
+        lo = _unipotent(ring, n, False, rng)
+        up = _unipotent(ring, n, True, rng)
+        inv_t = unitriangular_inverse(lo.transpose()) @ unitriangular_inverse(up.transpose())
+        assert _t41_matrix(ctx, ring, lo, up) == embed_blocks(ctx, ring, uu=lo @ up, vv=inv_t)
+
+
+def test_l54_sides_match_the_dense_products():
+    rng = random.Random(54)
+    for _ in range(30):
+        P = _POLY_RINGS[rng.randrange(len(_POLY_RINGS))]
+        base = P.base
+        n = rng.choice((2, 3, 4))
+        ctx = FormContext(n)
+        d0 = Scalar(base, base.from_int(rng.choice((1, -1))))
+        core = Word(ctx, base, [GenLabel("DIAG", param=(d0, tuple(_unit(base, rng) for _ in range(n))))])
+        beta0 = eval_word(random_word(ctx, base, rng, 6)) @ eval_word(core)
+        lhs, rhs, corr = _l54_sides(ctx, P, beta0)
+        _, a23, _, a33 = split_blocks(beta0, ctx)
+        assert corr == a23.transpose() @ a33
+        X, one = variable(P), Scalar(P, P.one)
+        t = embed_blocks(ctx, P, uv=_constant_matrix_over(corr, P).scale(one - X))
+        for j in range(n):
+            border = base.mul(beta0.rows[0][0], beta0.rows[0][n + 1 + j])
+            t.rows[0][n + 1 + j] = ((X - one) * Scalar(P, P.make([border]))).payload
+        lifted = _constant_matrix_over(beta0, P)
+        th = theta(ctx, P)
+        assert lhs == th @ lifted
+        assert rhs == lifted @ t @ th

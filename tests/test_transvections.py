@@ -34,7 +34,7 @@ from orthgen.transvections import (
     transvection_split3,
 )
 
-from dense_oracle import det, orthogonal_inverse, transvection_formula
+from dense_oracle import add, det, orthogonal_inverse, outer, sub, transvection_formula
 from sampling import RINGS, random_matrix
 
 QQ = RationalField()
@@ -91,7 +91,7 @@ def test_transvection_reduces_when_w_is_isotropic():
     w = _basis(QQ, 7, CTX3.u(2))
     x = _s(QQ, 7)
     tv, tw = CTX3.tilde(v), CTX3.tilde(w)
-    expected = Matrix.identity(QQ, 7) + (v.outer(tw) - w.outer(tv)).scale(x)
+    expected = add(Matrix.identity(QQ, 7), sub(outer(v, tw), outer(w, tv)).scale(x))
     assert _E(CTX3, v, w, x) == expected
 
 
