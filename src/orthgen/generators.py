@@ -73,14 +73,6 @@ _F_TERMS = {
 }
 
 
-def _slot(n: int, name: str, i: int, j) -> int:
-    """The slot of a term-table name in the odd context: u_i = i, v_i = n + i."""
-    if name == "c":
-        return 0
-    idx = i if name[1] == "i" else j
-    return idx if name[0] == "u" else n + idx
-
-
 def _check_f_indices(ctx: FormContext, family: str, i: int, j) -> None:
     if family not in F_FAMILIES:
         raise BadIndex(f"unknown F family {family!r}")
@@ -103,13 +95,21 @@ def _check_f_indices(ctx: FormContext, family: str, i: int, j) -> None:
 def _f_terms(ctx: FormContext, R: Ring, family: str, i: int, j, z) -> list:
     """(row, column, coefficient payload) of each entry F^family(z) adds to I.
 
-    Reads _F_TERMS at call time, so a rebound table reaches every caller.
+    Slots are u_i = i and v_i = n + i in the odd context.  A +-1
+    coefficient costs no ring multiplication (the power of z as it is,
+    or R.neg of it), and z is squared only for a power-2 term, of which
+    a family has at most one.  Reads _F_TERMS at call time, so a
+    rebound table reaches every caller.
     """
-    zpow = {1: z, 2: R.mul(z, z)}
-    return [
-        (_slot(ctx.n, row, i, j), _slot(ctx.n, col, i, j), R.mul(R.from_int(coeff), zpow[power]))
-        for row, col, coeff, power in _F_TERMS[family]
-    ]
+    n = ctx.n
+    slots = {"c": 0, "ui": i, "vi": n + i, "uj": j, "vj": None if j is None else n + j}
+    out = []
+    for row, col, coeff, power in _F_TERMS[family]:
+        a = z if power == 1 else R.mul(z, z)
+        if coeff not in (1, -1):
+            a = R.mul(R.from_int(abs(coeff)), a)
+        out.append((slots[row], slots[col], a if coeff > 0 else R.neg(a)))
+    return out
 
 
 def gen_F(ctx: FormContext, family: str, i: int, j, z: Scalar) -> Matrix:

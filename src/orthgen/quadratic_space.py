@@ -8,9 +8,11 @@ The even space drops the center coordinate and shifts everything down
 by one.  Matrices and vectors hold raw ring payloads; indexing hands
 back Scalars.  A matrix changes in place by line operations (row_add,
 col_add, row_scale, col_scale), through which the letter and
-transvection kernels act; the form tests pair columns and congruence
-compares entries, so the package takes no dense product and builds no
-matrix sum or difference.
+transvection kernels act; "line plus scaled line" is the ring's own
+in-place op (Ring.axpy on a row, Ring.col_axpy on a column), which the
+modular rings run as plain integer arithmetic.  The form tests pair
+columns and congruence compares entries, so the package takes no dense
+product and builds no matrix sum or difference.
 """
 
 from __future__ import annotations
@@ -238,24 +240,14 @@ class Matrix:
     def row_add(self, target: int, source: int, coeff) -> None:
         """row[target] += coeff * row[source], coeff a raw payload."""
         R = self.ring
-        if R.is_zero(coeff):
-            return
-        trow = self.rows[target]
-        srow = self.rows[source]
-        for j in range(self.dim):
-            s = srow[j]
-            if not R.is_zero(s):
-                trow[j] = R.add(trow[j], R.mul(coeff, s))
+        if not R.is_zero(coeff):
+            R.axpy(self.rows[target], self.rows[source], coeff)
 
     def col_add(self, target: int, source: int, coeff) -> None:
         """col[target] += coeff * col[source], coeff a raw payload."""
         R = self.ring
-        if R.is_zero(coeff):
-            return
-        for row in self.rows:
-            s = row[source]
-            if not R.is_zero(s):
-                row[target] = R.add(row[target], R.mul(coeff, s))
+        if not R.is_zero(coeff):
+            R.col_axpy(self.rows, target, source, coeff)
 
     def row_scale(self, target: int, coeff) -> None:
         """row[target] *= coeff, coeff a raw payload."""

@@ -9,7 +9,9 @@ and polynomial or Laurent polynomial rings over any scalar base kind.
 
 Payloads are kept in canonical form at all times (reduced Fraction,
 least nonnegative residue, trimmed coefficient tuples), so tuple and
-integer equality is ring equality.
+integer equality is ring equality.  Every ring also adds a scaled line
+to a line in place (axpy on a row, col_axpy on a column of a row-major
+matrix); the modular rings run it as plain integer arithmetic.
 """
 
 from __future__ import annotations
@@ -118,6 +120,21 @@ class Ring:
             if self.is_unit(a):
                 return a
 
+    def axpy(self, dst, src, c) -> None:
+        """dst[j] += c*src[j] in place, over the nonzero entries of src."""
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        for j, s in enumerate(src):
+            if not is_zero(s):
+                dst[j] = add(dst[j], mul(c, s))
+
+    def col_axpy(self, rows, target: int, source: int, c) -> None:
+        """row[target] += c*row[source] in place for each row, over nonzero sources."""
+        add, mul, is_zero = self.add, self.mul, self.is_zero
+        for row in rows:
+            s = row[source]
+            if not is_zero(s):
+                row[target] = add(row[target], mul(c, s))
+
     # subclasses implement: zero, one, half, from_int, add, neg, mul,
     # is_zero, is_unit, inv, show, to_json, from_json, sample
 
@@ -164,7 +181,10 @@ class RationalField(Ring):
         return 1 / a
 
     def show(self, a) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:  # past the int-to-str digit limit
+            return f"<rational of {a.numerator.bit_length()}/{a.denominator.bit_length()} bits>"
 
     def to_json(self, a):
         try:
@@ -218,6 +238,20 @@ class _ModularBase(Ring):
 
     def is_zero(self, a) -> bool:
         return a == 0
+
+    # The line ops inline the arithmetic: one (y + c*x) % m per nonzero x.
+    def axpy(self, dst, src, c) -> None:
+        m = self.modulus
+        for j, s in enumerate(src):
+            if s:
+                dst[j] = (dst[j] + c * s) % m
+
+    def col_axpy(self, rows, target: int, source: int, c) -> None:
+        m = self.modulus
+        for row in rows:
+            s = row[source]
+            if s:
+                row[target] = (row[target] + c * s) % m
 
     def is_unit(self, a) -> bool:
         return a % self.p != 0

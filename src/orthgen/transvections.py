@@ -137,54 +137,44 @@ def apply_transvection(m: Matrix, spec: TransvectionSpec, left: bool = False) ->
         raise IndexOutOfRange(f"dimension mismatch {m.dim} vs {ctx.dim}")
     if m.ring != R:
         raise RingMismatch(f"{m.ring.descriptor} vs {R.descriptor}")
-    add, mul, is_zero = R.add, R.mul, R.is_zero
+    d, zero = m.dim, R.zero
 
     def support(comps):
-        return [(k, c) for k, c in enumerate(comps) if not is_zero(c)]
+        # Payloads are canonical, so != zero is the ring's nonzero test.
+        return [(k, c) for k, c in enumerate(comps) if c != zero]
 
     z = spec.x.payload
     vt, wt = ctx.tilde(v).comps, ctx.tilde(w).comps
-    a = [mul(z, t) for t in wt]
-    corr = R.neg(mul(mul(z, z), ctx.quad(w).payload))
-    if not is_zero(corr):
-        a = [add(s, mul(corr, t)) for s, t in zip(a, vt)]
-    mz = R.neg(z)
-    b = [mul(mz, t) for t in vt]
+    a, b = [zero] * d, [zero] * d
+    R.axpy(a, wt, z)
+    corr = R.neg(R.mul(R.mul(z, z), ctx.quad(w).payload))
+    if corr != zero:
+        R.axpy(a, vt, corr)
+    R.axpy(b, vt, R.neg(z))
     updates = [(support(v.comps), support(a)), (support(w.comps), support(b))]
     rows = m.rows
-    # Both combinations are read from m before either is added back.
+    # Both combinations are read from m before either is added back.  On
+    # the left they are two scratch rows; on the right m*v and m*w are
+    # built in two scratch columns at d and d + 1, dropped at the end.
     if left:
-        sums = []
-        for _, coeffs in updates:
-            acc = [R.zero] * m.dim
+        sums = [[zero] * d for _ in updates]
+        for acc, (_, coeffs) in zip(sums, updates):
             for k, c in coeffs:
-                for j, s in enumerate(rows[k]):
-                    if not is_zero(s):
-                        acc[j] = add(acc[j], mul(c, s))
-            sums.append(acc)
+                R.axpy(acc, rows[k], c)
         for (targets, _), acc in zip(updates, sums):
             for i, t in targets:
-                row = rows[i]
-                for j, s in enumerate(acc):
-                    if not is_zero(s):
-                        row[j] = add(row[j], mul(t, s))
+                R.axpy(rows[i], acc, t)
     else:
-        sums = []
-        for sources, _ in updates:
-            acc = []
-            for row in rows:
-                total = R.zero
-                for k, t in sources:
-                    s = row[k]
-                    if not is_zero(s):
-                        total = add(total, mul(s, t))
-                acc.append(total)
-            sums.append(acc)
-        for (_, coeffs), acc in zip(updates, sums):
-            for row, s in zip(rows, acc):
-                if not is_zero(s):
-                    for k, c in coeffs:
-                        row[k] = add(row[k], mul(s, c))
+        for row in rows:
+            row += (zero, zero)
+        for s, (sources, _) in enumerate(updates, d):
+            for k, t in sources:
+                R.col_axpy(rows, s, k, t)
+        for s, (_, coeffs) in enumerate(updates, d):
+            for k, c in coeffs:
+                R.col_axpy(rows, k, s, c)
+        for row in rows:
+            del row[d:]
 
 
 def transvection_matrix(spec: TransvectionSpec) -> Matrix:

@@ -14,6 +14,9 @@ core's letters are checked by the Word that holds them.  The package
 takes no dense product and forms no matrix sum, difference or outer
 product; the letter builders are one-letter words run through the
 kernel, and the dense letter oracle in the tests is built without them.
+Matrix.row_add, Matrix.col_add and apply_transvection loop over no
+entries with ring add, mul or is_zero: "line plus scaled line" is the
+ring's own axpy or col_axpy.
 """
 
 import ast
@@ -144,3 +147,27 @@ def test_no_dense_algebra_and_builders_go_through_the_kernel():
     oracle = ast.parse((Path(__file__).parent / "dense_oracle.py").read_text(encoding="utf-8"))
     assert not (set(builders) | {"_f_terms", "_oe_terms", "_slot", "apply_word", "eval_word",
                                  "_apply_letter"}) & _names(oracle)
+
+
+def _loop_calls(fn):
+    """Names called inside the loops and comprehensions of a function's body."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return {getattr(node.func, "attr", getattr(node.func, "id", None))
+            for loop in ast.walk(fn) if isinstance(loop, loops)
+            for node in ast.walk(loop) if isinstance(node, ast.Call)}
+
+
+def test_line_updates_reach_ring_arithmetic_only_through_the_line_ops():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    kernels = {("quadratic_space.py", "row_add"): {"axpy"},
+               ("quadratic_space.py", "col_add"): {"col_axpy"},
+               ("transvections.py", "apply_transvection"): {"axpy", "col_axpy"}}
+    for (module, name), line_ops in kernels.items():
+        fns = [node for node in ast.walk(trees[module])
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert len(fns) == 1
+        assert not {"add", "mul", "is_zero"} & _loop_calls(fns[0]), name
+        assert line_ops <= {getattr(node.func, "attr", None)
+                            for node in ast.walk(fns[0]) if isinstance(node, ast.Call)}
+    assert not any("_slot" in _names(tree) for tree in trees.values())

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthgen.errors import JSONFormatError, NotAUnit, RingMismatch, UnsupportedRing
+from orthgen.quadratic_space import Matrix
 from orthgen.rings import (
     IdealDescriptor,
     LaurentRing,
@@ -378,3 +380,26 @@ def test_ring_descriptor_must_be_a_string():
     for bad in (5, None, ["Q"]):
         with pytest.raises(UnsupportedRing):
             ring_from_string(bad)
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default int-to-str digit limit, restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def test_show_never_raises_on_an_oversized_rational(digit_limit):
+    Q = RationalField()
+    big = Fraction(10**5000)
+    assert Q.show(big) == "<rational of 16610/1 bits>"
+    assert Q.show(Fraction(1, 3 ** 10000)) == "<rational of 1/15850 bits>"
+    assert Q.show(Fraction(-7, 3)) == "-7/3"
+    P = PolynomialRing(Q)
+    with pytest.raises(NotAUnit, match=r"\(<rational of 16610/1 bits>\) \+ X is not a unit"):
+        P.inv((big, Fraction(1)))
+    m = Matrix.from_scalars(Q, [[big, 0], [0, 1]])
+    assert repr(m) == "Matrix(Q, dim=2)\n[<rational of 16610/1 bits>, 0]\n[0, 1]"
+    assert repr(Scalar(Q, big)) == "<rational of 16610/1 bits>"

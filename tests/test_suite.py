@@ -1,8 +1,9 @@
 """Tests for the identity battery: registry, determinism, mutation guard.
 
 The items that build their matrices by line operations (T4.1, L5.4) are
-checked against the dense products they replaced, and L2.3.iv is held
-to a floor of draws on which its correction term is alive.
+checked against the dense products they replaced, and L2.3.iv, L5.1
+and C4.13 are held to floors of draws on which the case they are about
+is alive: a nonzero correction term, a nonzero f, and b^2 != 1.
 """
 
 import hashlib
@@ -188,6 +189,49 @@ def test_law_iv_correction_is_alive_on_most_suite_draws(monkeypatch):
     assert report.total_failures == 0
     assert len(alive) == 100
     assert sum(alive) >= 61
+
+
+def test_l51_scaling_is_alive_on_most_suite_draws(monkeypatch):
+    # At seed 42 the drawn f, and so the X-divisible parameter X*f, is
+    # nonzero on 90 of 100 draws.  Wrapping TransvectionSpec to count
+    # them leaves the draws and the report as they are.
+    plain = canonical_json(run_suite(["L5.1"], 42, 100).to_json())
+    original = identity_suite.TransvectionSpec
+    alive = []
+
+    def counting(ctx, v, w, x):
+        if isinstance(x.ring, PolynomialRing):
+            alive.append(not x.is_zero())
+        return original(ctx, v, w, x)
+
+    monkeypatch.setattr(identity_suite, "TransvectionSpec", counting)
+    report = run_suite(["L5.1"], 42, 100)
+    assert canonical_json(report.to_json()) == plain
+    assert report.total_failures == 0
+    assert len(alive) == 100
+    assert sum(alive) >= 90
+
+
+def test_c413_square_is_not_one_on_most_suite_draws(monkeypatch):
+    # At seed 42 the drawn unit b has b^2 != 1 on 63 of 100 draws; on the
+    # rest the commutator is the identity and the item checks little.
+    # Wrapping _unit to count them leaves the draws and the report as
+    # they are.
+    plain = canonical_json(run_suite(["C4.13"], 42, 100).to_json())
+    original = identity_suite._unit
+    alive = []
+
+    def counting(ring, rng):
+        b = original(ring, rng)
+        alive.append(b * b != 1)
+        return b
+
+    monkeypatch.setattr(identity_suite, "_unit", counting)
+    report = run_suite(["C4.13"], 42, 100)
+    assert canonical_json(report.to_json()) == plain
+    assert report.total_failures == 0
+    assert len(alive) == 100
+    assert sum(alive) >= 63
 
 
 def test_t41_column_operations_match_the_dense_blocks():
