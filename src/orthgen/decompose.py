@@ -59,19 +59,16 @@ from .quadratic_space import (
     Matrix,
     _is_unitriangular,
     is_orthogonal,
-    matrices_congruent,
     matrix_residue,
     monomial_pattern,
     split_blocks,
 )
 from .rings import (
-    IdealDescriptor,
     LaurentRing,
     PolynomialRing,
     Ring,
     Scalar,
     laurent_of_poly,
-    lift_scalar,
     residue_ring,
 )
 from .transvections import is_alternating
@@ -441,13 +438,13 @@ def _lift_word(word: Word, ring: Ring) -> Word:
         elif fam == "DIAG":
             d0, d = letter.param
             center = ring.one if d0.payload == S.one else ring.neg(ring.one)
-            param = (Scalar(ring, center), tuple(lift_scalar(ring, x) for x in d))
+            param = (Scalar(ring, center), tuple(Scalar(ring, ring.lift(x.payload)) for x in d))
             letters.append(GenLabel(fam, param=param, exp=letter.exp))
         else:
             if fam == "F2" and letter.param == half_s:
                 z = Scalar(ring, ring.half)
             else:
-                z = lift_scalar(ring, letter.param)
+                z = Scalar(ring, ring.lift(letter.param.payload))
             letters.append(GenLabel(fam, letter.i, letter.j, z, letter.exp))
     return Word(word.ctx, ring, letters)
 
@@ -459,14 +456,15 @@ def local_decompose(alpha: Matrix, ctx: FormContext) -> LocalDecomposition:
     field, lifts the words and the core (as PERM and DIAG letters)
     canonically, and returns the quotient of alpha by the lifted
     product as the residual factor.  Every lifted letter is orthogonal,
-    so the quotient is built by applying the inverse letters.
+    so the quotient is built by applying the inverse letters, and it
+    preserves the form exactly when alpha does: the residual's form test
+    is the input's only one, as in tmt_decompose.  Congruence to the
+    identity is read off the residual's reduction.
     """
     R = alpha.ring
-    residue_ring(R)  # UnsupportedRing for non-local scalar rings
+    S = residue_ring(R)  # UnsupportedRing for non-local scalar rings
     if alpha.dim != ctx.dim:
         raise IndexOutOfRange(f"matrix must have size {ctx.dim}")
-    if not is_orthogonal(alpha, ctx):
-        raise NotOrthogonal("input does not preserve the form")
     reduced = tmt_decompose(matrix_residue(alpha), ctx)
     tau1 = _lift_word(reduced.tau1, R)
     core = _lift_word(reduced.core, R)
@@ -475,8 +473,8 @@ def local_decompose(alpha: Matrix, ctx: FormContext) -> LocalDecomposition:
     for word in (tau1, core, tau2):
         apply_word(residual, word.inverse(), left=True)
     if not is_orthogonal(residual, ctx):
-        raise DecompositionError("residual lost orthogonality")
-    if not matrices_congruent(residual, Matrix.identity(R, ctx.dim), IdealDescriptor("max")):
+        raise NotOrthogonal("input does not preserve the form")
+    if matrix_residue(residual) != Matrix.identity(S, ctx.dim):
         raise DecompositionError("residual is not congruent to the identity")
     return LocalDecomposition(tau1, eval_word(core), tau2, residual)
 

@@ -494,7 +494,10 @@ def word_from_json(obj) -> Word:
     if not isinstance(obj, dict) or "n" not in obj or "ring" not in obj:
         raise JSONFormatError("word JSON needs 'n', 'ring' and 'letters'")
     ring = ring_from_string(obj["ring"])
-    ctx = FormContext(obj["n"], odd=not obj.get("even", False))
+    even = obj.get("even", False)
+    if not isinstance(even, bool):
+        raise JSONFormatError(f"word 'even' must be a boolean, got {even!r}")
+    ctx = FormContext(obj["n"], odd=not even)
     letters = obj.get("letters", [])
     if not isinstance(letters, list):
         raise JSONFormatError(f"word 'letters' must be a list, got {letters!r}")

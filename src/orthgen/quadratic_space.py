@@ -25,7 +25,7 @@ from .errors import (
     RingMismatch,
     UnsupportedRing,
 )
-from .rings import IdealDescriptor, Ring, Scalar, residue_ring, residue_scalar, ring_from_string
+from .rings import IdealDescriptor, Ring, Scalar, residue_ring, ring_from_string
 
 __all__ = [
     "Matrix",
@@ -301,7 +301,7 @@ class FormContext:
     __slots__ = ("n", "odd", "dim")
 
     def __init__(self, n: int, odd: bool = True) -> None:
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise IndexOutOfRange(f"rank must be a positive integer, got {n!r}")
         self.n = n
         self.odd = odd
@@ -497,10 +497,9 @@ def matrices_congruent(A: Matrix, B: Matrix, ideal: IdealDescriptor) -> bool:
 
 def matrix_residue(M: Matrix) -> Matrix:
     """Entrywise reduction of a matrix over a local scalar ring mod its maximal ideal."""
-    R = M.ring
-    S = residue_ring(R)
-    rows = [[residue_scalar(Scalar(R, a)).payload for a in row] for row in M.rows]
-    return Matrix(S, rows, copy=False)
+    S = residue_ring(M.ring)
+    reduce = M.ring.reduce
+    return Matrix(S, [[reduce(a) for a in row] for row in M.rows], copy=False)
 
 
 def one_perp(M: Matrix) -> Matrix:

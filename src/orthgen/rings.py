@@ -11,7 +11,8 @@ Payloads are kept in canonical form at all times (reduced Fraction,
 least nonnegative residue, trimmed coefficient tuples), so tuple and
 integer equality is ring equality.  Every ring also adds a scaled line
 to a line in place (axpy on a row, col_axpy on a column of a row-major
-matrix); the modular rings run it as plain integer arithmetic.
+matrix); the modular rings run it as plain integer arithmetic.  A local
+scalar ring names its residue field, with payload maps to it and back.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ __all__ = [
     "variable",
     "laurent_of_poly",
     "residue_ring",
-    "residue_scalar",
-    "lift_scalar",
     "canonical_json",
 ]
 
@@ -97,10 +96,22 @@ def _int_from_json(obj, what: str) -> int:
 
 
 class Ring:
-    """Payload-level arithmetic for one coefficient ring."""
+    """Payload-level arithmetic for one coefficient ring.
+
+    A local scalar ring names its residue field as residue and maps
+    payloads to it with reduce and back with lift (a canonical preimage);
+    both are the identity on a field.  Other rings have residue None.
+    """
 
     kind: str
     descriptor: str
+    residue: "Ring | None" = None
+
+    def reduce(self, a):
+        return a
+
+    def lift(self, a):
+        return a
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Ring) and self.descriptor == other.descriptor
@@ -146,6 +157,7 @@ def _oversized() -> JSONFormatError:
 
 class RationalField(Ring):
     kind = "Q"
+    residue = property(lambda self: self)
 
     _RAT = re.compile(r"-?\d+(/\d+)?$")
 
@@ -284,6 +296,7 @@ class _ModularBase(Ring):
 
 class PrimeField(_ModularBase):
     kind = "Fp"
+    residue = property(lambda self: self)
 
     def __init__(self, p: int) -> None:
         if not _is_prime(p):
@@ -323,6 +336,9 @@ class ModularRing(_ModularBase):
         self.zero = 0
         self.one = 1
         self.half = pow(2, -1, self.modulus)
+
+    def reduce(self, a):
+        return a % self.p
 
 
 def _poly_str(coeffs, var: str, base: Ring, offset: int = 0) -> str:
@@ -365,6 +381,7 @@ class TruncatedRing(Ring):
         if not isinstance(e, int) or e < 1:
             raise UnsupportedRing(f"truncation order must be a positive integer, got {e!r}")
         self.base = base
+        self.residue = base
         self.e = e
         self.descriptor = f"trunc:{base.descriptor}:{e}"
         self.zero = (base.zero,) * e
@@ -388,6 +405,12 @@ class TruncatedRing(Ring):
     def is_zero(self, a) -> bool:
         B = self.base
         return all(B.is_zero(c) for c in a)
+
+    def reduce(self, a):
+        return a[0]
+
+    def lift(self, a):
+        return (a,) + self.zero[1:]
 
     def is_unit(self, a) -> bool:
         return not self.base.is_zero(a[0])
@@ -753,7 +776,7 @@ class IdealDescriptor:
         if self.kind == "zero":
             return
         if self.kind == "max":
-            if ring.kind in _SCALAR_KINDS:
+            if ring.residue is not None:
                 return
             raise UnsupportedRing(f"ideal 'max' is undefined for {ring.descriptor}")
         if self.kind == "xmult":
@@ -769,11 +792,12 @@ class IdealDescriptor:
         if self.kind == "zero":
             return ring.is_zero(payload)
         if self.kind == "max":
-            return residue_scalar(Scalar(ring, payload)).is_zero()
+            return ring.residue.is_zero(ring.reduce(payload))
         if self.kind == "xmult":
             return payload == () or ring.base.is_zero(payload[0])
+        B = ring.base
         coeffs = payload if ring.kind == "poly" else payload[1]
-        return all(residue_scalar(Scalar(ring.base, c)).is_zero() for c in coeffs)
+        return all(B.residue.is_zero(B.reduce(c)) for c in coeffs)
 
 
 def ring_from_string(s: str) -> Ring:
@@ -791,7 +815,7 @@ def ring_from_string(s: str) -> Ring:
     if s.startswith("Fp:"):
         return PrimeField(_parse_int(s[3:], s))
     if len(s) > 1 and s[0] == "F" and s[1:].isdigit():
-        return PrimeField(int(s[1:]))
+        return PrimeField(_parse_int(s[1:], s))
     if s.startswith("Zpk:"):
         parts = s.split(":")
         if len(parts) != 3:
@@ -865,35 +889,9 @@ def laurent_of_poly(x: Scalar) -> Scalar:
 
 def residue_ring(ring: Ring) -> Ring:
     """Quotient of a local scalar ring by its maximal ideal."""
-    if ring.kind in ("Q", "Fp"):
-        return ring
-    if ring.kind == "Zpk":
-        return ring.residue
-    if ring.kind == "trunc":
-        return ring.base
-    raise UnsupportedRing(f"{ring.descriptor} is not a local scalar ring")
-
-
-def residue_scalar(x: Scalar) -> Scalar:
-    """Image of a local-ring scalar in the residue field."""
-    R = x.ring
-    S = residue_ring(R)
-    if S == R:
-        return x
-    if R.kind == "Zpk":
-        return Scalar(S, x.payload % R.p)
-    return Scalar(S, x.payload[0])
-
-
-def lift_scalar(ring: Ring, x: Scalar) -> Scalar:
-    """Canonical preimage in ring of a residue-field scalar."""
-    if x.ring != residue_ring(ring):
-        raise RingMismatch(f"{x.ring.descriptor} is not the residue field of {ring.descriptor}")
-    if ring.kind in ("Q", "Fp"):
-        return x
-    if ring.kind == "Zpk":
-        return Scalar(ring, x.payload)
-    return Scalar(ring, (x.payload,) + (ring.base.zero,) * (ring.e - 1))
+    if ring.residue is None:
+        raise UnsupportedRing(f"{ring.descriptor} is not a local scalar ring")
+    return ring.residue
 
 
 def canonical_json(obj) -> str:

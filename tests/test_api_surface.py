@@ -16,7 +16,9 @@ product; the letter builders are one-letter words run through the
 kernel, and the dense letter oracle in the tests is built without them.
 Matrix.row_add, Matrix.col_add and apply_transvection loop over no
 entries with ring add, mul or is_zero: "line plus scaled line" is the
-ring's own axpy or col_axpy.
+ring's own axpy or col_axpy.  A local ring's residue map lives on the
+ring (reduce and lift), and local_decompose tests the form once, on its
+residual, and reads congruence off the residual's reduction.
 """
 
 import ast
@@ -171,3 +173,15 @@ def test_line_updates_reach_ring_arithmetic_only_through_the_line_ops():
         assert line_ops <= {getattr(node.func, "attr", None)
                             for node in ast.walk(fns[0]) if isinstance(node, ast.Call)}
     assert not any("_slot" in _names(tree) for tree in trees.values())
+
+
+def test_residue_maps_live_on_the_ring_and_the_local_form_is_tested_once():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert not any({"residue_scalar", "lift_scalar"} & _names(tree) for tree in trees.values())
+    assert not {"IdealDescriptor", "matrices_congruent"} & _names(trees["decompose.py"])
+    sites = _call_sites(trees["decompose.py"], "is_orthogonal")
+    assert sites.count("local_decompose") == 1
+    residue_ring = [node for node in ast.walk(trees["rings.py"])
+                    if isinstance(node, ast.FunctionDef) and node.name == "residue_ring"]
+    assert "kind" not in _names(residue_ring[0])

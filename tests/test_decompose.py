@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from orthgen import decompose
 from orthgen.decompose import (
     HorrocksInstance,
     LocalDecomposition,
@@ -24,6 +25,7 @@ from orthgen.decompose import (
 from orthgen.errors import (
     BadIndex,
     BadSign,
+    DecompositionError,
     IndexOutOfRange,
     JSONFormatError,
     NonElementaryLetter,
@@ -582,8 +584,50 @@ def test_local_rejections():
         local_decompose(Matrix.identity(PQ, 7), CTX3)
     skew = Matrix.identity(Z9, 7)
     skew.rows[0][1] = Z9.one
-    with pytest.raises(NotOrthogonal):
+    with pytest.raises(NotOrthogonal, match="^input does not preserve the form$"):
         local_decompose(skew, CTX3)
+    # The rank is checked before the form, as tmt_decompose does.
+    small = Matrix.identity(Z9, 5)
+    small.rows[0][1] = Z9.one
+    with pytest.raises(IndexOutOfRange, match="^rank must be at least 3$"):
+        local_decompose(small, FormContext(2))
+
+
+def test_local_form_is_certified_once_on_the_residual(monkeypatch):
+    # The residue of this input is the identity, so only the lifted
+    # residual can show that the input does not preserve the form.
+    tested = []
+
+    def spy(m, ctx):
+        tested.append(m.ring)
+        return is_orthogonal(m, ctx)
+
+    monkeypatch.setattr(decompose, "is_orthogonal", spy)
+    skew = Matrix.identity(Z9, 7)
+    skew.rows[0][1] = 3
+    with pytest.raises(NotOrthogonal, match="^input does not preserve the form$"):
+        local_decompose(skew, CTX3)
+    assert tested == [Z9]
+    tested.clear()
+    local_decompose(gen_F(CTX3, "F1", 1, None, _s(Z9, 3)), CTX3)
+    assert tested == [Z9]
+
+
+def test_local_congruence_check_catches_a_wrong_lift(monkeypatch):
+    # Every lifted letter is orthogonal, so a lift that loses a tower
+    # letter leaves an orthogonal residual; only its reduction shows it.
+    lift = decompose._lift_word
+
+    def lossy(word, ring):
+        lifted = lift(word, ring)
+        tower = lifted.letters and lifted.letters[0].family.startswith("F")
+        return Word(lifted.ctx, ring, lifted.letters[1:] if tower else lifted.letters)
+
+    rng = random.Random(114)
+    alpha = eval_word(random_word(CTX3, Z9, rng, 6)) @ _random_monomial(CTX3, Z9, rng)
+    monkeypatch.setattr(decompose, "_lift_word", lossy)
+    with pytest.raises(DecompositionError, match="^residual is not congruent to the identity$"):
+        local_decompose(alpha, CTX3)
 
 
 # --- theta_conjugate ----------------------------------------------------------

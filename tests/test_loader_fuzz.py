@@ -12,6 +12,9 @@ load is evaluated only at the golden payload's own rank, since the junk
 pool holds 10**40 and the identity of that size must never be built.
 The loaders' pool adds digit strings longer than Python will turn into
 an int, which the rational loader must refuse with JSONFormatError.
+A ring descriptor, a word's rank and its even flag are refused when
+they only look valid: a superscript digit in the F<p> shorthand, a
+boolean rank and a non-boolean even flag.
 The runs are derandomized, with the CLI fuzz test's settings.
 """
 
@@ -22,9 +25,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orthgen.decompose import HorrocksInstance, LocalDecomposition, TmtDecomposition
-from orthgen.errors import BadIndex, JSONFormatError, OrthgenError
+from orthgen.errors import BadIndex, IndexOutOfRange, JSONFormatError, OrthgenError, UnsupportedRing
 from orthgen.generators import eval_word, word_from_json
-from orthgen.quadratic_space import Matrix
+from orthgen.quadratic_space import FormContext, Matrix
 from orthgen.rings import RationalField
 
 from test_cli_fuzz import GOLDEN, JUNK, PAYLOADS, SETTINGS, _mutate
@@ -134,3 +137,32 @@ def test_an_oversized_rational_is_a_format_error(text):
 def test_a_huge_rank_is_refused_without_building_its_permutation():
     with pytest.raises(BadIndex):
         word_from_json({"n": 10**40, "ring": "Q", "letters": [{"fam": "PERM", "perm": [1, 2, 3]}]})
+
+
+def test_a_superscript_field_shorthand_is_refused_as_a_ring():
+    # str.isdigit accepts "\u00b2", which int() refuses.
+    with pytest.raises(UnsupportedRing):
+        word_from_json({"n": 3, "ring": "F\u00b2", "letters": []})
+    with pytest.raises(JSONFormatError):
+        Matrix.from_json({"ring": "F\u00b2", "dim": 1, "entries": [[1]]})
+    certificate = dict(CERTIFICATES[0], witness=dict(CERTIFICATES[0]["witness"], ring="F\u00b2"))
+    record = dict(TMT[0], tau1=dict(TMT[0]["tau1"], ring="F\u00b2"))
+    for load, payload in ((HorrocksInstance.from_json, certificate), (TmtDecomposition.from_json, record)):
+        with pytest.raises(OrthgenError):
+            load(payload)
+
+
+@pytest.mark.parametrize("rank", [True, False], ids=["true", "false"])
+def test_a_boolean_rank_is_refused(rank):
+    with pytest.raises(IndexOutOfRange, match="^rank must be a positive integer"):
+        FormContext(rank)
+    with pytest.raises(IndexOutOfRange, match="^rank must be a positive integer"):
+        word_from_json({"n": rank, "ring": "Q", "letters": []})
+
+
+@pytest.mark.parametrize("even", ["no", 1, 0, None, "true"])
+def test_the_even_flag_must_be_a_boolean(even):
+    with pytest.raises(JSONFormatError):
+        word_from_json({"n": 3, "ring": "Q", "even": even, "letters": []})
+    assert word_from_json({"n": 3, "ring": "Q", "even": False, "letters": []}).ctx.odd
+    assert not word_from_json({"n": 3, "ring": "Q", "even": True, "letters": []}).ctx.odd

@@ -21,9 +21,7 @@ from orthgen.rings import (
     _is_prime,
     canonical_json,
     laurent_of_poly,
-    lift_scalar,
     residue_ring,
-    residue_scalar,
     ring_from_string,
     scalar_from_json,
     scalar_from_string,
@@ -133,6 +131,7 @@ def test_descriptor_round_trip():
         "Zpk:3",
         "R",
         "poly:",
+        "F\u00b2",
     ],
 )
 def test_bad_descriptors(bad):
@@ -295,22 +294,52 @@ def test_residue_and_lift():
     Z9 = ModularRing(3, 2)
     F3 = PrimeField(3)
     assert residue_ring(Z9) == F3
-    assert residue_scalar(Z9(7)) == F3(1)
-    assert lift_scalar(Z9, F3(2)) == Z9(2)
+    assert Z9.reduce(7) == 1
+    assert Z9.lift(2) == 2
     T = ring_from_string("trunc:Fp:5:3")
     F5 = PrimeField(5)
     assert residue_ring(T) == F5
-    assert residue_scalar(Scalar(T, (2, 1, 0))) == F5(2)
-    assert lift_scalar(T, F5(2)).payload == (2, 0, 0)
+    assert T.reduce((2, 1, 0)) == 2
+    assert T.lift(2) == (2, 0, 0)
     assert residue_ring(F5) == F5
+    assert F5.reduce(3) == F5.lift(3) == 3
     rng = random.Random(5)
     for _ in range(50):
-        x = F3(F3.sample(rng))
-        assert residue_scalar(lift_scalar(Z9, x)) == x
+        x = F3.sample(rng)
+        assert Z9.reduce(Z9.lift(x)) == x
     with pytest.raises(UnsupportedRing):
         residue_ring(ring_from_string("poly:Q"))
-    with pytest.raises(RingMismatch):
-        lift_scalar(Z9, F5(1))
+
+
+LOCAL = ["Q", "Fp:3", "Zpk:3:2", "Zpk:5:2", "trunc:F3:3", "trunc:Q:2"]
+
+
+@pytest.mark.parametrize("descriptor", LOCAL)
+def test_reduce_is_a_ring_map_and_lift_a_section(descriptor):
+    R = ring_from_string(descriptor)
+    S = R.residue
+    assert residue_ring(R) is S
+    assert R.reduce(R.zero) == S.zero and R.reduce(R.one) == S.one
+    mx = IdealDescriptor("max")
+    rng = random.Random(17)
+    for _ in range(200):
+        a, b = R.sample(rng), R.sample(rng)
+        assert R.reduce(R.add(a, b)) == S.add(R.reduce(a), R.reduce(b))
+        assert R.reduce(R.mul(a, b)) == S.mul(R.reduce(a), R.reduce(b))
+        assert mx.member(R, a) == S.is_zero(R.reduce(a))
+        x = S.sample(rng)
+        assert R.reduce(R.lift(x)) == x
+        assert R.from_json(R.to_json(R.lift(x))) == R.lift(x)  # a canonical payload of R
+
+
+@pytest.mark.parametrize("descriptor", ["poly:Q", "poly:Zpk:3:2", "laurent:Fp:7", "laurent:trunc:Q:2"])
+def test_polynomial_rings_have_no_residue_field(descriptor):
+    R = ring_from_string(descriptor)
+    assert R.residue is None
+    with pytest.raises(UnsupportedRing):
+        residue_ring(R)
+    with pytest.raises(UnsupportedRing):
+        IdealDescriptor("max").member(R, R.zero)
 
 
 def test_scalar_from_string():
