@@ -5,9 +5,10 @@ matrix, decompose and factor emit factorization records, identities
 replays the relation battery, check-horrocks judges a splitting
 certificate.  Exit codes: 0 success or accept, 1 verified false or
 reject (including decomposition preconditions that fail on otherwise
-well-formed input), 2 usage or parse error.  Indices on the command
-line are 1-based.  Payloads travel on stdin/stdout unless --file is
-given.  ORTHGEN_SEED, when set, replaces the default suite seed.
+well-formed input), 2 usage or parse error, which main catches as an
+OrthgenError, ValueError or OSError.  Indices on the command line are
+1-based.  Payloads travel on stdin/stdout unless --file is given.
+ORTHGEN_SEED, when set, replaces the default suite seed.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from .decompose import (
     local_decompose,
     tmt_decompose,
 )
-from .errors import IndexOutOfRange, JSONFormatError, NotMonomial, OrthgenError, UnknownItem
+from .errors import IndexOutOfRange, JSONFormatError, NotMonomial, OrthgenError
 from .generators import eval_word, gen_F, gen_oe, word_to_json
 from .identity_suite import run_suite
 from .quadratic_space import (
@@ -74,37 +75,25 @@ def _odd_context(m: Matrix) -> FormContext:
     return FormContext((m.dim - 1) // 2)
 
 
-def _any_context(m: Matrix) -> FormContext:
-    if m.dim % 2 == 0:
-        return FormContext(m.dim // 2, odd=False)
-    return FormContext((m.dim - 1) // 2)
-
-
 # --- verb handlers ------------------------------------------------------------
 
 
 def _cmd_gen(args) -> int:
-    try:
-        ring = ring_from_string(args.ring)
-        z = scalar_from_string(ring, args.z)
-        if args.fam == "OE":
-            if args.j is None:
-                raise IndexOutOfRange("OE needs --j")
-            m = gen_oe(FormContext(args.n, odd=False), args.i, args.j, z)
-        else:
-            m = gen_F(FormContext(args.n), args.fam, args.i, args.j, z)
-    except (OrthgenError, ValueError) as exc:
-        return _complain(str(exc), 2)
+    ring = ring_from_string(args.ring)
+    z = scalar_from_string(ring, args.z)
+    if args.fam == "OE":
+        if args.j is None:
+            raise IndexOutOfRange("OE needs --j")
+        m = gen_oe(FormContext(args.n, odd=False), args.i, args.j, z)
+    else:
+        m = gen_F(FormContext(args.n), args.fam, args.i, args.j, z)
     _emit(m.to_json())
     return 0
 
 
 def _cmd_verify(args) -> int:
-    try:
-        m = Matrix.from_json(_read_payload(args.file))
-        ctx = _any_context(m)
-    except (OrthgenError, ValueError, OSError) as exc:
-        return _complain(str(exc), 2)
+    m = Matrix.from_json(_read_payload(args.file))
+    ctx = FormContext(m.dim // 2, odd=m.dim % 2 == 1)
     if args.what == "orthogonal":
         ok = is_orthogonal(m, ctx)
         detail = "preserves the form" if ok else "does not preserve the form"
@@ -114,11 +103,7 @@ def _cmd_verify(args) -> int:
         except NotMonomial as exc:
             ok, detail = False, str(exc)
     else:
-        try:
-            ideal = IdealDescriptor(args.ideal)
-            ok = matrices_congruent(m, Matrix.identity(m.ring, m.dim), ideal)
-        except OrthgenError as exc:
-            return _complain(str(exc), 2)
+        ok = matrices_congruent(m, Matrix.identity(m.ring, m.dim), IdealDescriptor(args.ideal))
         word = "congruent" if ok else "not congruent"
         detail = f"{word} to the identity mod {args.ideal}"
     _emit({"detail": detail, "ok": ok})
@@ -126,10 +111,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    try:
-        m = Matrix.from_json(_read_payload(args.file))
-    except (OrthgenError, ValueError, OSError) as exc:
-        return _complain(str(exc), 2)
+    m = Matrix.from_json(_read_payload(args.file))
     upper = not args.lower
     try:
         if args.mode in ("tmt", "local"):
@@ -166,30 +148,18 @@ def _cmd_identities(args) -> int:
         selection = tuple(
             s for s in (t.strip() for t in args.items.split(",")) if s
         )
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get("ORTHGEN_SEED")
-        if raw is None:
-            seed = 42
-        else:
-            try:
-                seed = int(raw)
-            except ValueError:
-                return _complain(f"ORTHGEN_SEED must be an integer, got {raw!r}", 2)
+    raw = os.environ.get("ORTHGEN_SEED", "42")
     try:
-        report = run_suite(selection, seed, args.samples)
-    except UnknownItem as exc:
-        return _complain(str(exc), 2)
+        seed = int(raw) if args.seed is None else args.seed
+    except ValueError:
+        return _complain(f"ORTHGEN_SEED must be an integer, got {raw!r}", 2)
+    report = run_suite(selection, seed, args.samples)
     _emit(report.to_json())
     return 0 if report.total_failures == 0 else 1
 
 
 def _cmd_check_horrocks(args) -> int:
-    try:
-        inst = HorrocksInstance.from_json(_read_payload(args.file))
-        verdict = check_horrocks_instance(inst)
-    except (OrthgenError, ValueError, OSError) as exc:
-        return _complain(str(exc), 2)
+    verdict = check_horrocks_instance(HorrocksInstance.from_json(_read_payload(args.file)))
     _emit(verdict)
     return 0 if verdict["accepted"] else 1
 
@@ -305,9 +275,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return args.func(args)
-    except OrthgenError as exc:
-        # What a verb does not handle itself, such as a result with an
-        # entry too large to print, exits 2 before anything is written.
+    except (OrthgenError, ValueError, OSError) as exc:
+        # Bad input, an unreadable file and what no verb maps to exit 1,
+        # such as an entry too large to print, exit 2 with nothing written.
         return _complain(str(exc), 2)
 
 

@@ -49,6 +49,7 @@ from .generators import (
     GenLabel,
     Word,
     _apply_letter,
+    _checked_word,
     apply_word,
     eval_word,
     word_from_json,
@@ -426,7 +427,7 @@ def _lift_word(word: Word, ring: Ring) -> Word:
     its center going to +1 or -1.  The words come from a
     TmtDecomposition, which certified them over the residue field, so
     the center is +1 or -1 there and every lifted diagonal entry is a
-    unit of the local ring.
+    unit of the local ring: the lift is valid by construction, unchecked.
     """
     S = word.ring
     half_s = Scalar(S, S.half)
@@ -446,7 +447,7 @@ def _lift_word(word: Word, ring: Ring) -> Word:
             else:
                 z = Scalar(ring, ring.lift(letter.param.payload))
             letters.append(GenLabel(fam, letter.i, letter.j, z, letter.exp))
-    return Word(word.ctx, ring, letters)
+    return _checked_word(word.ctx, ring, letters)
 
 
 def local_decompose(alpha: Matrix, ctx: FormContext) -> LocalDecomposition:

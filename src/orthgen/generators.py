@@ -8,9 +8,12 @@ row and column operations read from that table; no letter is multiplied
 in as a dense matrix.  The builders gen_F, gen_oe, perm_matrix,
 diag_orthogonal and theta are one-letter words evaluated by the same
 kernel.  Words are sequences of GenLabels, each checked once by
-_validate_letter when its Word is built (or loaded from JSON), so the
-kernel checks nothing; evaluation is left-to-right, and letter inverses
-are closed-form (F(z)^-1 = F(-z)), never numeric inversion.
+_validate_letter where it enters, in a Word built or loaded from JSON.
+Words built from checked words (products, inverses, commutators,
+shuffles, lifts) go through _checked_word; inversion rechecks only that
+an inverse THETA letter has a laurent ring.  The kernel checks nothing;
+evaluation is left-to-right, and letter inverses are closed-form
+(F(z)^-1 = F(-z)), never numeric inversion.
 
 Conventions fixed here and relied on everywhere else:
   * commutator(a, b) = a*b*a^-1*b^-1
@@ -266,8 +269,13 @@ def _validate_letter(ctx: FormContext, ring: Ring, letter: GenLabel) -> None:
         _diag_entries(ctx, d0, d)
     else:
         _theta_slots(ctx, ring, letter.param)
-        if letter.exp == -1 and not isinstance(ring, LaurentRing):
-            raise UnsupportedRing("inverse THETA letters need a laurent ring")
+        _require_theta_inverses(ring, (letter,))
+
+
+def _require_theta_inverses(ring: Ring, letters) -> None:
+    """An inverse THETA letter scales by X^-1, which only a laurent ring holds."""
+    if not isinstance(ring, LaurentRing) and any(l.family == "THETA" and l.exp == -1 for l in letters):
+        raise UnsupportedRing("inverse THETA letters need a laurent ring")
 
 
 def _apply_letter(ctx: FormContext, m: Matrix, letter: GenLabel, left: bool = False) -> None:
@@ -333,7 +341,10 @@ def _apply_letter(ctx: FormContext, m: Matrix, letter: GenLabel, left: bool = Fa
 
 
 class Word:
-    """A finite product of letters over one context and ring."""
+    """A finite product of letters over one context and ring.
+
+    Each letter is checked when the Word is built and fixed from then on.
+    """
 
     __slots__ = ("ctx", "ring", "letters")
 
@@ -361,12 +372,21 @@ class Word:
         return f"Word(n={self.ctx.n}, {len(self.letters)} letters)"
 
     def inverse(self) -> "Word":
-        return Word(self.ctx, self.ring, tuple(l.inverse() for l in reversed(self.letters)))
+        letters = tuple(l.inverse() for l in reversed(self.letters))
+        _require_theta_inverses(self.ring, letters)
+        return _checked_word(self.ctx, self.ring, letters)
 
     def __mul__(self, other: "Word") -> "Word":
         if other.ctx.dim != self.ctx.dim or other.ring != self.ring:
             raise RingMismatch("cannot concatenate words over different contexts")
-        return Word(self.ctx, self.ring, self.letters + other.letters)
+        return _checked_word(self.ctx, self.ring, self.letters + other.letters)
+
+
+def _checked_word(ctx: FormContext, ring: Ring, letters) -> Word:
+    """A Word of letters already checked for (ctx, ring), built without checking them again."""
+    word = Word.__new__(Word)
+    word.ctx, word.ring, word.letters = ctx, ring, tuple(letters)
+    return word
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -412,7 +432,8 @@ def word_shuffle(word: Word) -> Word:
         out.append(b)
         out.extend(a.inverse() for a in reversed(prefix))
     out.extend(a for a, _ in pairs)
-    return Word(word.ctx, word.ring, out)
+    _require_theta_inverses(word.ring, out)
+    return _checked_word(word.ctx, word.ring, out)
 
 
 def _label_to_json(letter: GenLabel):

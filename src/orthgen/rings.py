@@ -22,7 +22,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import JSONFormatError, NotAUnit, RingMismatch, UnsupportedRing
+from .errors import JSONFormatError, NotAUnit, OrthgenError, RingMismatch, UnsupportedRing
 
 __all__ = [
     "Ring",
@@ -159,8 +159,6 @@ class RationalField(Ring):
     kind = "Q"
     residue = property(lambda self: self)
 
-    _RAT = re.compile(r"-?\d+(/\d+)?$")
-
     def __init__(self) -> None:
         self.descriptor = "Q"
         self.zero = Fraction(0)
@@ -211,15 +209,16 @@ class RationalField(Ring):
             raise JSONFormatError(f"bad rational {obj!r}")
         if isinstance(obj, int):
             return Fraction(obj)
-        if isinstance(obj, str) and self._RAT.match(obj):
-            num, _, den = obj.partition("/")
+        if isinstance(obj, str):
+            num, slash, den = obj.partition("/")
             try:
-                num, den = int(num), int(den) if den else None
+                num, den = _ascii_int(num), _ascii_int(den) if slash else 1
             except ValueError:
                 raise _oversized() from None
-            if den == 0:
-                raise JSONFormatError("zero denominator")
-            return Fraction(num, den)
+            if num is not None and den is not None and den >= 0:
+                if den == 0:
+                    raise JSONFormatError("zero denominator")
+                return Fraction(num, den)
         raise JSONFormatError(f"bad rational {obj!r}")
 
     def sample(self, rng):
@@ -810,38 +809,48 @@ def ring_from_string(s: str) -> Ring:
     if not isinstance(s, str):
         raise UnsupportedRing(f"ring descriptor must be a string, got {s!r}")
     s = s.strip()
+    bad = UnsupportedRing(f"cannot parse ring descriptor {s!r}")
     if s == "Q":
         return RationalField()
-    if s.startswith("Fp:"):
-        return PrimeField(_parse_int(s[3:], s))
-    if len(s) > 1 and s[0] == "F" and s[1:].isdigit():
-        return PrimeField(_parse_int(s[1:], s))
+    if s.startswith("F"):  # Fp:<p> or the F<p> shorthand
+        return PrimeField(_parse_int(s[3:] if s.startswith("Fp:") else s[1:], bad))
     if s.startswith("Zpk:"):
-        parts = s.split(":")
-        if len(parts) != 3:
-            raise UnsupportedRing(f"cannot parse ring descriptor {s!r}")
-        p = _parse_int(parts[1], s)
-        k = _parse_int(parts[2], s)
-        if k == 1:
-            return PrimeField(p)
-        return ModularRing(p, k)
+        p, _, k = s[4:].partition(":")
+        p, k = _parse_int(p, bad), _parse_int(k, bad)
+        return PrimeField(p) if k == 1 else ModularRing(p, k)
     if s.startswith("trunc:"):
         base_str, sep, e_str = s[6:].rpartition(":")
         if not sep:
-            raise UnsupportedRing(f"cannot parse ring descriptor {s!r}")
-        return TruncatedRing(ring_from_string(base_str), _parse_int(e_str, s))
+            raise bad
+        return TruncatedRing(ring_from_string(base_str), _parse_int(e_str, bad))
     if s.startswith("poly:"):
         return PolynomialRing(ring_from_string(s[5:]))
     if s.startswith("laurent:"):
         return LaurentRing(ring_from_string(s[8:]))
-    raise UnsupportedRing(f"cannot parse ring descriptor {s!r}")
+    raise bad
 
 
-def _parse_int(tok: str, ctx: str) -> int:
+_ASCII_INT = re.compile(r"-?[0-9]+")
+
+
+def _ascii_int(tok: str):
+    """tok as an int if it is an optional minus and ASCII digits 0-9, else None.
+
+    int() alone also reads other scripts' digits, underscores, a plus sign
+    and whitespace; past Python's digit limit it raises ValueError.
+    """
+    return int(tok) if _ASCII_INT.fullmatch(tok) else None
+
+
+def _parse_int(tok: str, error: OrthgenError) -> int:
+    """tok read by _ascii_int, or error when it is no integer or too long to read."""
     try:
-        return int(tok, 10)
+        k = _ascii_int(tok)
     except ValueError:
-        raise UnsupportedRing(f"cannot parse ring descriptor {ctx!r}") from None
+        k = None
+    if k is None:
+        raise error
+    return k
 
 
 def scalar_from_json(ring: Ring, obj) -> Scalar:
@@ -863,10 +872,7 @@ def scalar_from_string(ring: Ring, s: str) -> Scalar:
         return Scalar(ring, ring.from_json(obj))
     if ring.kind == "Q":
         return Scalar(ring, ring.from_json(s))
-    try:
-        k = int(s, 10)
-    except ValueError:
-        raise JSONFormatError(f"cannot parse scalar {s!r} for {ring.descriptor}") from None
+    k = _parse_int(s, JSONFormatError(f"cannot parse scalar {s!r} for {ring.descriptor}"))
     return Scalar(ring, ring.from_int(k))
 
 

@@ -6,7 +6,10 @@ beyond its own definition and its __all__ entry.  Letters are checked
 only where a Word is built, and the unchecked letter kernel is reached
 only from the two modules that apply letters.  Transvections have one
 checked spec and one kernel entry, and the vector type and matrix
-builder they replaced are gone.  A decomposition record splits its
+builder they replaced are gone.  Word.__init__ takes no flag to skip
+the check: words built from checked words (products, inverses, shuffles
+and lifts) go through the private _checked_word, named only in the
+generators and decompose modules.  A decomposition record splits its
 monomial core once, in its constructor, and the three-factor splitting
 builds no dense block matrix.  The transvection laws and the theta
 conjugation identity live in the identity suite only, and a monomial
@@ -100,6 +103,14 @@ def test_letters_are_checked_only_where_a_word_is_built():
     sites = [(name, site) for name, tree in trees.items()
              for site in _call_sites(tree, "_validate_letter")]
     assert sites == [("generators.py", "Word.__init__")]
+    word = next(node for node in trees["generators.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "Word")
+    init = next(node for node in word.body if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert [arg.arg for arg in init.args.args] == ["self", "ctx", "ring", "letters"]
+    assert not (init.args.kwonlyargs or init.args.vararg or init.args.kwarg)
+    # Words built from checked words skip the check, in the two modules that build them.
+    assert sorted(name for name, tree in trees.items()
+                  if "_checked_word" in _names(tree)) == ["decompose.py", "generators.py"]
     assert not any("apply_letter" in _names(tree) for tree in trees.values())
     assert sorted(name for name, tree in trees.items()
                   if "_apply_letter" in _names(tree)) == ["decompose.py", "generators.py"]

@@ -292,6 +292,25 @@ def test_decompose_serializes_outside_its_exit_one_branch(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: too many digits\n"
 
 
+def test_a_value_error_in_a_verb_exits_two_at_the_one_boundary(monkeypatch, capsys):
+    # main catches what no verb maps to exit 1; this once escaped as a traceback.
+    def broken(m, ctx):
+        raise ValueError("broken elimination")
+
+    monkeypatch.setattr(cli, "tmt_decompose", broken)
+    identity = canonical_json(Matrix.identity(F5, 7).to_json())
+    assert run_cli(["decompose", "--mode", "tmt"], identity) == (2, "")
+    assert capsys.readouterr().err == "error: broken elimination\n"
+
+
+@pytest.mark.parametrize("ring, z", [("Fp:1_3", "1"), ("F\u0663", "1"), ("Fp:5", "1_3"), ("Q", "\u0663")])
+def test_gen_reads_integers_in_ascii_digits_only(ring, z, capsys):
+    code, out = run_cli(["gen", "--fam", "F1", "--i", "1", "--z", z, "--n", "3", "--ring", ring])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_decompose_domain_failures_exit_one(capsys):
     bad = canonical_json(_orth_bad().to_json())
     assert run_cli(["decompose", "--mode", "tmt"], bad)[0] == 1

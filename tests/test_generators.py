@@ -400,6 +400,25 @@ def test_word_validation():
         GenLabel("F1", 1, None, z, exp=2)
     with pytest.raises(RingMismatch):
         Word(CTX3, QQ, (GenLabel("F1", 1, None, z),)) * Word(CTX4, QQ, ())
+    with pytest.raises(RingMismatch):
+        Word(CTX3, QQ, (GenLabel("F1", 1, None, z),)) * Word(CTX3, F5, (GenLabel("F1", 1, None, F5(1)),))
+
+
+@pytest.mark.parametrize("derive", [
+    lambda w: w.inverse(),
+    lambda w: word_shuffle(w * w),
+    lambda w: commutator(w, w),
+], ids=["inverse", "word_shuffle", "commutator"])
+def test_inverting_a_theta_letter_needs_a_laurent_ring(derive):
+    # Words built from checked words re-check only this rule.
+    poly = Word(CTX3, ring_from_string("poly:Q"), [GenLabel("THETA", param=2)])
+    with pytest.raises(UnsupportedRing, match="^inverse THETA letters need a laurent ring$"):
+        derive(poly)
+    LQ = ring_from_string("laurent:Q")
+    laurent = Word(CTX3, LQ, [GenLabel("THETA", param=2)])
+    derived = derive(laurent)
+    assert derived.ring == LQ
+    assert eval_word(derived) == eval_word(word_from_json(word_to_json(derived)))
 
 
 def test_word_json_round_trip_all_letter_kinds():

@@ -8,8 +8,10 @@ and a counting guard keeps the letter check at that one place: the
 field decomposition checks each letter of its result once, and its
 recomposition checks none; the local decomposition and its
 recomposition apply their words in turn, building no product word that
-re-checks them, and each record splits its core once, when it is built.  apply_word checks the matrix's size and
-ring.  The product-free form test is_orthogonal is checked against
+re-checks them, and each record splits its core once, when it is built.
+A nested commutator checks each letter once, in the one-letter word
+that brings it in.  apply_word checks the matrix's size and ring.  The
+product-free form test is_orthogonal is checked against
 M^T * gram * M == gram.  A counting guard keeps dense products out of
 word evaluation, both decompositions, their recomposition, the
 certificate check, unitriangular inversion, the triangular block
@@ -50,6 +52,7 @@ from orthgen.generators import (
     GenLabel,
     Word,
     apply_word,
+    commutator,
     diag_orthogonal,
     eval_word,
     gen_F,
@@ -252,16 +255,41 @@ def test_the_local_path_applies_its_factors_in_turn(monkeypatch):
     monkeypatch.setattr(decompose, "mo_split", counted_split)
     dec = local_decompose(alpha, ctx)
     # The residue's record and its core (k + 2 letters, k the tower
-    # letters), the lifted words and their inverses, and the lifted
-    # record's core; no product word re-checks them.
+    # letters), and the lifted record's core; the lifts and their
+    # inverses are built from checked words and check nothing.
     k = len(dec.tau1) + len(dec.tau2)
-    assert (k, checks[0]) == (61, 3 * (k + 2) + 2) == (61, 191)
+    assert (k, checks[0]) == (61, k + 4) == (61, 65)
     # Each record splits its core once, when it is built.
     assert splits[0] == 2
     checks[0] = splits[0] = 0
     assert dec.recompose() == alpha
     # The record applies the core it holds: no letter is checked again.
     assert (checks[0], splits[0]) == (0, 0)
+
+
+def test_a_nested_commutator_checks_each_letter_once(monkeypatch):
+    # L4.16's shape: commutators of commutators, a product and an inverse.
+    Q = ring_from_string("Q")
+    ctx = FormContext(3)
+    half = Scalar(Q, Q.half)
+    z = Scalar(Q, Q.from_int(3))
+    checks, built = [0], [0]
+    plain = generators._validate_letter
+
+    def counted(*args):
+        checks[0] += 1
+        return plain(*args)
+
+    def one(fam, i, x):
+        built[0] += 1
+        return Word(ctx, Q, [GenLabel(fam, i, None, x)])
+
+    monkeypatch.setattr(generators, "_validate_letter", counted)
+    a = commutator(one("F1", 2, z * z * half), one("F2", 3, -half))
+    inner = commutator(one("F2", 2, -half), one("F2", 3, -half))
+    prod = a * commutator(one("F1", 2, z), inner).inverse()
+    assert (len(prod * prod), built[0], checks[0]) == (28, 5, 5)
+    assert eval_word(prod * prod) == gen_F(ctx, "F2", 3, None, z)
 
 
 def _two_products(m, ctx):

@@ -140,7 +140,7 @@ def test_a_huge_rank_is_refused_without_building_its_permutation():
 
 
 def test_a_superscript_field_shorthand_is_refused_as_a_ring():
-    # str.isdigit accepts "\u00b2", which int() refuses.
+    # str.isdigit accepts "\u00b2"; descriptor numbers are ASCII digits only.
     with pytest.raises(UnsupportedRing):
         word_from_json({"n": 3, "ring": "F\u00b2", "letters": []})
     with pytest.raises(JSONFormatError):

@@ -132,6 +132,14 @@ def test_descriptor_round_trip():
         "R",
         "poly:",
         "F\u00b2",
+        # int() reads these as Fp:13, Zpk:3:2, Fp:3, Fp:3, trunc:Q:10, Fp:5, Fp:5
+        "Fp:1_3",
+        "Zpk:3:0_2",
+        "F\u0663",
+        "Fp:\u0663",
+        "trunc:Q:1_0",
+        "Fp:+5",
+        "Fp: 5",
     ],
 )
 def test_bad_descriptors(bad):
@@ -346,8 +354,10 @@ def test_scalar_from_string():
     Q = RationalField()
     assert scalar_from_string(Q, "3/4") == Q(Fraction(3, 4))
     assert scalar_from_string(Q, "-2") == Q(-2)
+    assert scalar_from_string(Q, "-30/70") == Q(Fraction(-3, 7))
     F7 = PrimeField(7)
     assert scalar_from_string(F7, "10") == F7(3)
+    assert scalar_from_string(F7, " -13 ") == F7(1)
     P = ring_from_string("poly:Fp:5")
     s = '{"coeffs": [{"mod": 5, "val": 1}, {"mod": 5, "val": 2}]}'
     assert scalar_from_string(P, s).payload == (1, 2)
@@ -355,6 +365,23 @@ def test_scalar_from_string():
         scalar_from_string(F7, "x")
     with pytest.raises(JSONFormatError):
         scalar_from_string(P, "{not json")
+
+
+# int() also reads other scripts' digits, underscores, a plus sign and
+# surrounding whitespace: "1_0" once loaded as 10 and the Arabic-Indic
+# "\u0663" as 3.  Rationals and modular scalar text, like descriptors
+# (test_bad_descriptors), take an optional minus and ASCII digits 0-9 only.
+@pytest.mark.parametrize("bad", ["\u0663", "-\u0663/\u0667", "3\n", "1_0", "1/1_0", "+3", " 3",
+                                 "1/-2"])
+def test_rationals_are_ascii_digits(bad):
+    with pytest.raises(JSONFormatError, match="^bad rational"):
+        RationalField().from_json(bad)
+
+
+@pytest.mark.parametrize("bad", ["1_3", "\u0663", "+3", "3 4"])
+def test_modular_scalar_text_is_ascii_digits(bad):
+    with pytest.raises(JSONFormatError, match="^cannot parse scalar"):
+        scalar_from_string(PrimeField(5), bad)
 
 
 def test_scalar_from_json_helper():
