@@ -8,7 +8,9 @@ reject (including decomposition preconditions that fail on otherwise
 well-formed input), 2 usage or parse error, which main catches as an
 OrthgenError, ValueError or OSError.  Indices on the command line are
 1-based.  Payloads travel on stdin/stdout unless --file is given.
-ORTHGEN_SEED, when set, replaces the default suite seed.
+ORTHGEN_SEED, when set, replaces the default suite seed.  Integer flags
+and ORTHGEN_SEED are read like the ring grammar's integers: an optional
+minus and ASCII digits, so 4_2, +3 and other scripts' digits exit 2.
 """
 
 import argparse
@@ -40,6 +42,7 @@ from .quadratic_space import (
 )
 from .rings import (
     IdealDescriptor,
+    _parse_int,
     canonical_json,
     ring_from_string,
     scalar_from_string,
@@ -148,11 +151,10 @@ def _cmd_identities(args) -> int:
         selection = tuple(
             s for s in (t.strip() for t in args.items.split(",")) if s
         )
-    raw = os.environ.get("ORTHGEN_SEED", "42")
-    try:
-        seed = int(raw) if args.seed is None else args.seed
-    except ValueError:
-        return _complain(f"ORTHGEN_SEED must be an integer, got {raw!r}", 2)
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("ORTHGEN_SEED", "42")
+        seed = _parse_int(raw.strip(), ValueError(f"ORTHGEN_SEED must be an integer, got {raw!r}"))
     report = run_suite(selection, seed, args.samples)
     _emit(report.to_json())
     return 0 if report.total_failures == 0 else 1
@@ -165,6 +167,11 @@ def _cmd_check_horrocks(args) -> int:
 
 
 # --- parser -------------------------------------------------------------------
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag read like every other integer: optional minus, ASCII digits."""
+    return _parse_int(text.strip(), argparse.ArgumentTypeError(f"invalid int value: {text!r}"))
 
 
 def _add_file_flag(sub) -> None:
@@ -199,10 +206,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = verbs.add_parser("gen", help="print one generator matrix")
     gen.add_argument("--fam", required=True, choices=("F1", "F2", "F3", "F4", "F5", "OE"))
-    gen.add_argument("--i", type=int, required=True)
-    gen.add_argument("--j", type=int, default=None)
+    gen.add_argument("--i", type=_int_flag, required=True)
+    gen.add_argument("--j", type=_int_flag, default=None)
     gen.add_argument("--z", required=True, help="parameter scalar, e.g. 2, -1/2, or scalar JSON")
-    gen.add_argument("--n", type=int, required=True, help="hyperbolic rank")
+    gen.add_argument("--n", type=_int_flag, required=True, help="hyperbolic rank")
     gen.add_argument("--ring", required=True, help="e.g. Q, Fp:5, Zpk:3:2, trunc:F5:3, poly:Q, laurent:Q")
     gen.set_defaults(func=_cmd_gen)
 
@@ -237,8 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     which = ident.add_mutually_exclusive_group(required=True)
     which.add_argument("--all", action="store_true")
     which.add_argument("--items", help="comma-separated item ids")
-    ident.add_argument("--seed", type=int, default=None)
-    ident.add_argument("--samples", type=int, default=100)
+    ident.add_argument("--seed", type=_int_flag, default=None)
+    ident.add_argument("--samples", type=_int_flag, default=100)
     ident.set_defaults(func=_cmd_identities)
 
     horrocks = verbs.add_parser(

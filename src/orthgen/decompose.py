@@ -69,7 +69,6 @@ from .rings import (
     PolynomialRing,
     Ring,
     Scalar,
-    laurent_of_poly,
     residue_ring,
 )
 from .transvections import is_alternating
@@ -490,7 +489,7 @@ def _laurent_matrix(m: Matrix) -> Matrix:
     if not isinstance(R, PolynomialRing):
         raise UnsupportedRing(f"{R.descriptor} has no Laurent embedding")
     L = LaurentRing(R.base)
-    rows = [[laurent_of_poly(Scalar(R, a)).payload for a in row] for row in m.rows]
+    rows = [[L.make(0, a) for a in row] for row in m.rows]
     return Matrix(L, rows, copy=False)
 
 

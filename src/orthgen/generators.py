@@ -162,8 +162,8 @@ def perm_matrix(ctx: FormContext, ring: Ring, pi) -> Matrix:
     return eval_word(Word(ctx, ring, [GenLabel("PERM", param=tuple(pi))]))
 
 
-def _diag_entries(ctx: FormContext, d0: Scalar, d) -> list:
-    """The diagonal payloads of diag_orthogonal(ctx, d0, d), after its checks."""
+def _diag_entries(ctx: FormContext, d0: Scalar, d) -> None:
+    """Check a DIAG letter's data: odd ctx, n scalars over d0's ring, d0^2 = 1, units."""
     if not ctx.odd:
         raise BadIndex("diagonal generators live in the odd context")
     d = tuple(d)
@@ -175,7 +175,8 @@ def _diag_entries(ctx: FormContext, d0: Scalar, d) -> list:
             raise RingMismatch(f"{x.ring.descriptor} vs {R.descriptor}")
     if (d0 * d0) != 1:
         raise BadSign(f"center entry must square to 1, got {d0!r}")
-    return [d0.payload] + [x.payload for x in d] + [x.inv().payload for x in d]
+    for x in d:
+        R.inv(x.payload)  # raises NotAUnit unless x is a unit
 
 
 def diag_orthogonal(ctx: FormContext, d0: Scalar, d) -> Matrix:
@@ -183,15 +184,12 @@ def diag_orthogonal(ctx: FormContext, d0: Scalar, d) -> Matrix:
     return eval_word(Word(ctx, d0.ring, [GenLabel("DIAG", param=(d0, tuple(d)))]))
 
 
-def _theta_slots(ctx: FormContext, ring: Ring, m) -> int:
-    """The number of X slots of theta(ctx, ring, m), after its checks."""
+def _theta_slots(ctx: FormContext, ring: Ring, m) -> None:
+    """Check a THETA letter's data: a polynomial or laurent ring, and m None or in 0..dim."""
     if not isinstance(ring, (PolynomialRing, LaurentRing)):
         raise UnsupportedRing(f"theta needs a polynomial or laurent ring, got {ring.descriptor}")
-    if m is None:
-        m = ctx.n + 1
-    if not 0 <= m <= ctx.dim:
+    if m is not None and not 0 <= m <= ctx.dim:
         raise BadIndex(f"theta slot count {m} outside 0..{ctx.dim}")
-    return m
 
 
 def theta(ctx: FormContext, ring: Ring, m=None) -> Matrix:

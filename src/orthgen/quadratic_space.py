@@ -5,14 +5,16 @@ The odd space of rank n has coordinates (x0, u1..un, v1..vn), stored
 Its bilinear form is phi(x, y) = 2*x0*y0 + sum_i (x_ui*y_vi + x_vi*y_ui),
 with quadratic form q(x) = x0^2 + sum_i x_ui*x_vi, so phi(x, x) = 2*q(x).
 The even space drops the center coordinate and shifts everything down
-by one.  Matrices and vectors hold raw ring payloads; indexing hands
-back Scalars.  A matrix changes in place by line operations (row_add,
-col_add, row_scale, col_scale), through which the letter and
-transvection kernels act; "line plus scaled line" is the ring's own
-in-place op (Ring.axpy on a row, Ring.col_axpy on a column), which the
-modular rings run as plain integer arithmetic.  The form tests pair
-columns and congruence compares entries, so the package takes no dense
-product and builds no matrix sum or difference.
+by one.  The Gram matrix is written once, in FormContext.gram_row; tilde,
+phi, quad, the column test behind is_orthogonal and similitude_multiplier,
+and the transvection kernel all read it.  Matrices and vectors hold raw
+ring payloads; indexing hands back Scalars.  A matrix changes in place
+by line operations (row_add, col_add, row_scale, col_scale), through
+which the letter and transvection kernels act; "line plus scaled line"
+is the ring's own in-place op (Ring.axpy on a row, Ring.col_axpy on a
+column), which the modular rings run as plain integer arithmetic.  The
+form tests pair columns and congruence compares entries, so the package
+takes no dense product and builds no matrix sum or difference.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ class Vector:
             raise RingMismatch(f"{R.descriptor} vs {other.ring.descriptor}")
         acc = R.zero
         for a, b in zip(self.comps, other.comps):
-            acc = R.add(acc, R.mul(a, b))
+            if not (R.is_zero(a) or R.is_zero(b)):
+                acc = R.add(acc, R.mul(a, b))
         return Scalar(R, acc)
 
     def is_zero(self) -> bool:
@@ -328,101 +331,83 @@ class FormContext:
             return idx + n if idx <= n else idx - n
         return idx + n if idx < n else idx - n
 
-    def phi(self, x: Vector, y: Vector) -> Scalar:
-        R = x.ring
-        if y.ring != R:
-            raise RingMismatch(f"{R.descriptor} vs {y.ring.descriptor}")
-        acc = R.zero
+    def gram_row(self, ring: Ring, x) -> list:
+        """x^T * gram for a payload sequence x: its u and v halves swapped, x0 doubled."""
+        n = self.n
         if self.odd:
-            acc = R.mul(R.from_int(2), R.mul(x.comps[0], y.comps[0]))
-        for i in range(1, self.n + 1):
-            ui, vi = self.u(i), self.v(i)
-            acc = R.add(acc, R.mul(x.comps[ui], y.comps[vi]))
-            acc = R.add(acc, R.mul(x.comps[vi], y.comps[ui]))
-        return Scalar(R, acc)
-
-    def quad(self, x: Vector) -> Scalar:
-        R = x.ring
-        acc = R.zero
-        if self.odd:
-            acc = R.mul(x.comps[0], x.comps[0])
-        for i in range(1, self.n + 1):
-            acc = R.add(acc, R.mul(x.comps[self.u(i)], x.comps[self.v(i)]))
-        return Scalar(R, acc)
+            return [ring.add(x[0], x[0]), *x[n + 1 :], *x[1 : n + 1]]
+        return [*x[n:], *x[:n]]
 
     def tilde(self, x: Vector) -> Vector:
         """The row vector x^T * gram, returned as a Vector."""
+        return Vector(x.ring, self.gram_row(x.ring, x.comps), copy=False)
+
+    def phi(self, x: Vector, y: Vector) -> Scalar:
+        return self.tilde(x).dot(y)
+
+    def quad(self, x: Vector) -> Scalar:
         R = x.ring
-        out = [R.zero] * self.dim
-        if self.odd:
-            out[0] = R.mul(R.from_int(2), x.comps[0])
-        for i in range(1, self.n + 1):
-            ui, vi = self.u(i), self.v(i)
-            out[ui] = x.comps[vi]
-            out[vi] = x.comps[ui]
-        return Vector(R, out, copy=False)
+        return Scalar(R, R.mul(R.half, self.tilde(x).dot(x).payload))
 
 
-def _form_multiplier(M: Matrix, ctx: FormContext, mult):
-    """mu with M^T * gram * M == mu * gram, or None if there is none.
-
-    Equivalently M's columns pair like the basis scaled by mu,
-    phi(col_i, col_j) == mu * gram[i][j].  That pairing matrix is
-    symmetric, so only i <= j is tested: each column is shuffled once by
-    the form (u and v swapped, the center doubled, as in
-    FormContext.tilde), its nonzero entries are dotted with the columns
-    up to it, and the first mismatch ends the test.  No matrix is built
-    and no product taken.  mult is mu's payload if known; if None, mu is
-    read off the first pairing the form does not send to zero (the
-    center with itself, halved, or u_1 with v_1 in the even space).
-    """
-    R = M.ring
+def _check_dim(M: Matrix, ctx: FormContext) -> None:
     if M.dim != ctx.dim:
         raise IndexOutOfRange(f"matrix dim {M.dim} does not match form dim {ctx.dim}")
+
+
+def _scales_form(M: Matrix, ctx: FormContext, mult) -> bool:
+    """Does M^T * gram * M == mult * gram, for mult a payload.
+
+    Entry (i, j) of the left side is column j's gram row dotted with
+    column i, and of the right side entry i of mult*e_j's gram row.  The
+    pairing matrix is symmetric, so only i <= j is tested: each column's
+    gram row is dotted on its nonzero entries with the columns up to it,
+    and the first mismatch ends the test.  No matrix is built and no
+    product taken.  M's size is the caller's to check.
+    """
+    R = M.ring
     add, mul, is_zero = R.add, R.mul, R.is_zero
     zero = R.zero
-    wants = None if mult is None else (add(mult, mult), mult)
-    partner = [ctx.delta(k) for k in range(ctx.dim)]
+    scaled = [zero] * ctx.dim
     cols = list(zip(*M.rows))
     for j, col in enumerate(cols):
-        shuffled = []
-        for k, p in enumerate(partner):
-            a = col[p]
-            if not is_zero(a):
-                shuffled.append((k, add(a, a) if k == p else a))
-        pj = partner[j]
+        row = [(k, a) for k, a in enumerate(ctx.gram_row(R, col)) if not is_zero(a)]
+        scaled[j] = mult
+        wants = ctx.gram_row(R, scaled)
+        scaled[j] = zero
         for i in range(j + 1):
             other = cols[i]
             acc = zero
-            for k, a in shuffled:
+            for k, a in row:
                 b = other[k]
                 if not is_zero(b):
                     acc = add(acc, mul(a, b))
-            if i != pj:
-                want = zero
-            elif mult is None:
-                mult = mul(R.half, acc) if i == j else acc
-                wants = (add(mult, mult), mult)
-                want = acc
-            else:
-                want = wants[0] if i == j else wants[1]
-            if acc != want:
-                return None
-    return mult
+            if acc != wants[i]:
+                return False
+    return True
 
 
 def is_orthogonal(M: Matrix, ctx: FormContext) -> bool:
-    """Does M preserve the bilinear form: M^T * gram * M == gram.
-
-    The multiplier-one case of similitude_multiplier's column pairing.
-    """
-    return _form_multiplier(M, ctx, M.ring.one) is not None
+    """Does M preserve the bilinear form: M^T * gram * M == gram."""
+    _check_dim(M, ctx)
+    return _scales_form(M, ctx, M.ring.one)
 
 
 def similitude_multiplier(M: Matrix, ctx: FormContext):
-    """The Scalar mu with M^T * gram * M == mu * gram, or None if M is no similitude."""
-    mult = _form_multiplier(M, ctx, None)
-    return None if mult is None else Scalar(M.ring, mult)
+    """The Scalar mu with M^T * gram * M == mu * gram, or None if M is no similitude.
+
+    mu is read off one pairing, q of the center's column in the odd
+    space, phi of the u_1 and v_1 columns in the even one, and then
+    tested on every pair of columns.
+    """
+    _check_dim(M, ctx)
+    R = M.ring
+
+    def col(j):
+        return Vector(R, [row[j] for row in M.rows], copy=False)
+
+    mult = ctx.quad(col(0)) if ctx.odd else ctx.phi(col(ctx.u(1)), col(ctx.v(1)))
+    return mult if _scales_form(M, ctx, mult.payload) else None
 
 
 def monomial_pattern(M: Matrix):
@@ -486,13 +471,14 @@ def unitriangular_inverse(M: Matrix) -> Matrix:
 
 
 def matrices_congruent(A: Matrix, B: Matrix, ideal: IdealDescriptor) -> bool:
-    """Entrywise membership of A - B in the ideal, with no matrix built."""
+    """Entrywise membership of A - B in the ideal, validated once, with no matrix built."""
     R = A.ring
     if B.ring != R:
         raise RingMismatch(f"{R.descriptor} vs {B.ring.descriptor}")
     if A.dim != B.dim:
         raise IndexOutOfRange(f"dimension mismatch {A.dim} vs {B.dim}")
-    return all(ideal.member(R, R.add(a, R.neg(b))) for ra, rb in zip(A.rows, B.rows) for a, b in zip(ra, rb))
+    ideal.validate_for(R)
+    return all(ideal._member(R, R.add(a, R.neg(b))) for ra, rb in zip(A.rows, B.rows) for a, b in zip(ra, rb))
 
 
 def matrix_residue(M: Matrix) -> Matrix:
@@ -537,8 +523,7 @@ def embed_blocks(ctx: FormContext, ring: Ring, uu=None, uv=None, vu=None, vv=Non
 def split_blocks(M: Matrix, ctx: FormContext):
     """The (uu, uv, vu, vv) blocks of M, the reading inverse of embed_blocks."""
     n, u, v = ctx.n, ctx.u(1), ctx.v(1)
-    if M.dim != ctx.dim:
-        raise IndexOutOfRange(f"matrix dim {M.dim} does not match form dim {ctx.dim}")
+    _check_dim(M, ctx)
 
     def block(r0, c0):
         return Matrix(M.ring, [M.rows[r0 + i][c0 : c0 + n] for i in range(n)], copy=False)

@@ -788,6 +788,10 @@ class IdealDescriptor:
 
     def member(self, ring: Ring, payload) -> bool:
         self.validate_for(ring)
+        return self._member(ring, payload)
+
+    def _member(self, ring: Ring, payload) -> bool:
+        """member for a ring that validate_for has already passed."""
         if self.kind == "zero":
             return ring.is_zero(payload)
         if self.kind == "max":

@@ -144,7 +144,7 @@ def apply_transvection(m: Matrix, spec: TransvectionSpec, left: bool = False) ->
         return [(k, c) for k, c in enumerate(comps) if c != zero]
 
     z = spec.x.payload
-    vt, wt = ctx.tilde(v).comps, ctx.tilde(w).comps
+    vt, wt = ctx.gram_row(R, v.comps), ctx.gram_row(R, w.comps)
     a, b = [zero] * d, [zero] * d
     R.axpy(a, wt, z)
     corr = R.neg(R.mul(R.mul(z, z), ctx.quad(w).payload))

@@ -21,7 +21,11 @@ Matrix.row_add, Matrix.col_add and apply_transvection loop over no
 entries with ring add, mul or is_zero: "line plus scaled line" is the
 ring's own axpy or col_axpy.  A local ring's residue map lives on the
 ring (reduce and lift), and local_decompose tests the form once, on its
-residual, and reads congruence off the residual's reduction.
+residual, and reads congruence off the residual's reduction.  The split
+form is written once, in FormContext.gram_row: tilde, phi and quad loop
+over no indices, and the column test behind is_orthogonal and
+similitude_multiplier and the transvection kernel read the same row,
+with no partner table and no unknown-multiplier mode.
 """
 
 import ast
@@ -196,3 +200,22 @@ def test_residue_maps_live_on_the_ring_and_the_local_form_is_tested_once():
     residue_ring = [node for node in ast.walk(trees["rings.py"])
                     if isinstance(node, ast.FunctionDef) and node.name == "residue_ring"]
     assert "kind" not in _names(residue_ring[0])
+
+
+def test_the_split_form_is_written_once():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    form = trees["quadratic_space.py"]
+    functions = {node.name: node for node in ast.walk(form) if isinstance(node, ast.FunctionDef)}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for name in ("phi", "quad", "tilde"):
+        assert not any(isinstance(node, loops) for node in ast.walk(functions[name])), name
+        assert not {"u", "v", "delta"} & _names(functions[name]), name
+    assert sorted(set(_call_sites(form, "gram_row"))) == ["FormContext.tilde", "_scales_form"]
+    assert _call_sites(form, "_scales_form") == ["is_orthogonal", "similitude_multiplier"]
+    assert _call_sites(form, "delta") == []
+    assert "partner" not in _names(form)
+    test = functions["_scales_form"]
+    assert not any(isinstance(node, ast.Constant) and node.value is None for node in ast.walk(test))
+    assert set(_call_sites(trees["transvections.py"], "gram_row")) == {"apply_transvection"}
+    assert _call_sites(trees["transvections.py"], "tilde") == []

@@ -311,6 +311,24 @@ def test_gen_reads_integers_in_ascii_digits_only(ring, z, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_GEN_F1 = ["gen", "--fam", "F1", "--i", "1", "--z", "1", "--ring", "Fp:5"]
+_T42 = ["identities", "--items", "T4.2"]
+
+
+@pytest.mark.parametrize("argv", [
+    _GEN_F1 + ["--n", "\u0663"],
+    _GEN_F1 + ["--n", "+3"],
+    _GEN_F1 + ["--n", "3_0"],
+    ["gen", "--fam", "F3", "--i", "1", "--j", "\u0662", "--z", "1", "--n", "3", "--ring", "Q"],
+    ["gen", "--fam", "F1", "--i", "0_1", "--z", "1", "--n", "3", "--ring", "Q"],
+    _T42 + ["--samples", "1", "--seed", "4_2"],
+    _T42 + ["--samples", "\u0661"],
+], ids=["n-arabic", "n-plus", "n-underscore", "j-arabic", "i-underscore", "seed", "samples"])
+def test_integer_flags_read_ascii_digits_only(argv, capsys):
+    assert run_cli(argv) == (2, "")
+    assert "invalid int value" in capsys.readouterr().err
+
+
 def test_decompose_domain_failures_exit_one(capsys):
     bad = canonical_json(_orth_bad().to_json())
     assert run_cli(["decompose", "--mode", "tmt"], bad)[0] == 1
@@ -423,7 +441,7 @@ def test_deeply_nested_payload_exits_two():
         assert run_cli(argv, deep) == (2, "")
 
 
-def test_identities_seed_resolution(monkeypatch):
+def test_identities_seed_resolution(monkeypatch, capsys):
     monkeypatch.delenv("ORTHGEN_SEED", raising=False)
     code, out = run_cli(["identities", "--items", "T4.2", "--samples", "1"])
     assert code == 0 and json.loads(out)["seed"] == 42
@@ -435,6 +453,17 @@ def test_identities_seed_resolution(monkeypatch):
     assert code == 0 and json.loads(out)["seed"] == 3
     monkeypatch.setenv("ORTHGEN_SEED", "boom")
     assert run_cli(["identities", "--items", "T4.2", "--samples", "1"])[0] == 2
+    # ASCII digits only, as in the ring grammar; surrounding spaces are stripped.
+    for raw in ("4_2", "\u0664\u0662", "+42"):
+        monkeypatch.setenv("ORTHGEN_SEED", raw)
+        capsys.readouterr()
+        assert run_cli(["identities", "--items", "T4.2", "--samples", "1"]) == (2, "")
+        assert capsys.readouterr().err == f"error: ORTHGEN_SEED must be an integer, got {raw!r}\n"
+    monkeypatch.setenv("ORTHGEN_SEED", " 7 ")
+    code, out = run_cli(["identities", "--items", "T4.2", "--samples", "1"])
+    assert code == 0 and json.loads(out)["seed"] == 7
+    code, out = run_cli(["identities", "--items", "T4.2", "--samples", "1", "--seed", " 3 "])
+    assert code == 0 and json.loads(out)["seed"] == 3
 
 
 def test_identities_failure_exits_one(monkeypatch):

@@ -1,8 +1,10 @@
 """Tests for block factorizations, pair peeling, local lifts, and certificates."""
 
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from orthgen.decompose import (
     LocalDecomposition,
     TmtDecomposition,
     _constant_matrix_over,
+    _laurent_matrix,
     check_horrocks_instance,
     factor_alt,
     factor_to,
@@ -744,6 +747,24 @@ def test_horrocks_word_instance_with_claim():
     verdict = check_horrocks_instance(inst)
     assert verdict["accepted"]
     assert verdict["claim_constant"] and verdict["claim_recomposes"]
+
+
+def test_horrocks_embeds_alpha_in_one_laurent_ring(monkeypatch):
+    text = (Path(__file__).parent / "golden" / "horrocks_accept.in").read_text(encoding="utf-8")
+    inst = HorrocksInstance.from_json(json.loads(text))
+    embedded = _laurent_matrix(inst.alpha)
+    assert embedded.rows == [[laurent_of_poly(inst.alpha[i, j]).payload for j in range(7)]
+                             for i in range(7)]
+    built = [0]
+    plain = LaurentRing.__init__
+
+    def counted(self, base):
+        built[0] += 1
+        plain(self, base)
+
+    monkeypatch.setattr(LaurentRing, "__init__", counted)
+    assert check_horrocks_instance(inst)["accepted"]
+    assert built == [1]
 
 
 def test_horrocks_single_parameter_mutant_rejects():

@@ -213,21 +213,27 @@ def test_form_context_indexing():
 
 @pytest.mark.parametrize("odd", [True, False])
 def test_phi_quad_tilde_agree_with_gram(odd):
+    # quad halves tilde(x).x with the ring's own half, so every ring is run.
     ctx = FormContext(3, odd=odd)
-    rng = random.Random(21)
-    g = gram(ctx, QQ)
-    for _ in range(30):
-        x = Vector(QQ, [QQ.sample(rng) for _ in range(ctx.dim)], copy=False)
-        y = Vector(QQ, [QQ.sample(rng) for _ in range(ctx.dim)], copy=False)
-        # phi through the gram matrix
-        gy = g.apply(y)
-        assert ctx.phi(x, y) == x.dot(gy)
-        assert ctx.phi(x, y) == ctx.phi(y, x)
-        assert ctx.phi(x, x) == QQ(2) * ctx.quad(x)
-        assert ctx.tilde(x) == g.apply(x)  # gram is symmetric
-        # bilinearity
-        z = Vector(QQ, [QQ.sample(rng) for _ in range(ctx.dim)], copy=False)
-        assert ctx.phi(x + z, y) == ctx.phi(x, y) + ctx.phi(z, y)
+    for desc in RINGS:
+        ring = ring_from_string(desc)
+        rng = random.Random(f"form:{desc}")
+        g = gram(ctx, ring)
+        two = Scalar(ring, ring.from_int(2))
+
+        def sample():
+            return Vector(ring, [ring.sample(rng) for _ in range(ctx.dim)], copy=False)
+
+        for _ in range(30):
+            x, y, z = sample(), sample(), sample()
+            # phi through the gram matrix
+            assert ctx.phi(x, y) == x.dot(g.apply(y))
+            assert ctx.phi(x, y) == ctx.phi(y, x)
+            assert ctx.phi(x, x) == two * ctx.quad(x)
+            assert ctx.quad(x) == x.dot(g.apply(x)) * Scalar(ring, ring.half)
+            assert ctx.tilde(x) == g.apply(x)  # gram is symmetric
+            # bilinearity
+            assert ctx.phi(x + z, y) == ctx.phi(x, y) + ctx.phi(z, y)
 
 
 def _delta_matrix(ring, ctx):
@@ -393,6 +399,33 @@ def test_congruence_and_residue():
     assert matrices_congruent(mt, back, mx)
     with pytest.raises(UnsupportedRing):
         matrix_residue(Matrix.identity(ring_from_string("poly:Q"), 2))
+
+
+def test_congruence_validates_the_ideal_once(monkeypatch):
+    calls = [0]
+    plain = IdealDescriptor.validate_for
+
+    def counted(self, ring):
+        calls[0] += 1
+        return plain(self, ring)
+
+    monkeypatch.setattr(IdealDescriptor, "validate_for", counted)
+    eye = Matrix.identity(Z9, 25)
+    assert matrices_congruent(eye, eye, IdealDescriptor("max"))
+    assert calls == [1]
+    bent = eye.copy()
+    bent.rows[3][4] = 3
+    assert matrices_congruent(eye, bent, IdealDescriptor("max"))
+    assert not matrices_congruent(eye, bent, IdealDescriptor("zero"))
+    assert calls == [3]
+    with pytest.raises(UnsupportedRing, match="ideal 'xmult' is undefined for Zpk:3:2"):
+        matrices_congruent(eye, eye, IdealDescriptor("xmult"))
+    # member on its own still validates every call
+    calls[0] = 0
+    assert not IdealDescriptor("max").member(Z9, 1)
+    with pytest.raises(UnsupportedRing, match="ideal 'max' is undefined for poly:Q"):
+        IdealDescriptor("max").member(ring_from_string("poly:Q"), ())
+    assert calls == [2]
 
 
 def test_matrix_json_round_trip():
