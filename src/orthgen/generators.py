@@ -158,7 +158,10 @@ def _check_perm(ctx: FormContext, pi) -> tuple:
 
 
 def perm_matrix(ctx: FormContext, ring: Ring, pi) -> Matrix:
-    """The permutation matrix sigma with sigma*e_s = e_pi(s), pi an image tuple."""
+    """The permutation matrix sigma with sigma*e_s = e_pi(s), pi an image tuple.
+
+    It stays only because the benchmark builds its request pools with it.
+    """
     return eval_word(Word(ctx, ring, [GenLabel("PERM", param=tuple(pi))]))
 
 

@@ -8,13 +8,15 @@ The even space drops the center coordinate and shifts everything down
 by one.  The Gram matrix is written once, in FormContext.gram_row; tilde,
 phi, quad, the column test behind is_orthogonal and similitude_multiplier,
 and the transvection kernel all read it.  Matrices and vectors hold raw
-ring payloads; indexing hands back Scalars.  A matrix changes in place
-by line operations (row_add, col_add, row_scale, col_scale), through
-which the letter and transvection kernels act; "line plus scaled line"
-is the ring's own in-place op (Ring.axpy on a row, Ring.col_axpy on a
-column), which the modular rings run as plain integer arithmetic.  The
-form tests pair columns and congruence compares entries, so the package
-takes no dense product and builds no matrix sum or difference.
+ring payloads; a vector's indexing hands back Scalars.  tilde, dot, +
+and Matrix.apply refuse a vector of the wrong length.  A matrix changes
+in place by line operations (row_add, col_add, row_scale, col_scale),
+through which the letter and transvection kernels act; "line plus
+scaled line" is the ring's own in-place op (Ring.axpy on a row,
+Ring.col_axpy on a column), which the modular rings run as plain integer
+arithmetic.  The form tests pair columns and congruence compares
+entries, so the package takes no dense product and builds no matrix sum
+or difference.
 """
 
 from __future__ import annotations
@@ -45,13 +47,19 @@ __all__ = [
 ]
 
 
-def _payload(ring: Ring, x):
-    """x as a payload of ring: a Scalar's own after a ring check, else ring.from_int(x)."""
-    if isinstance(x, Scalar):
-        if x.ring != ring:
-            raise RingMismatch(f"{x.ring.descriptor} vs {ring.descriptor}")
-        return x.payload
-    return ring.from_int(x)
+def _check_length(got: int, want: int) -> None:
+    if got != want:
+        raise IndexOutOfRange(f"vector length {got} does not match {want}")
+
+
+def _dot(R: Ring, xs, ys):
+    """The payload sum of x*y over paired entries of xs and ys, of equal lengths."""
+    _check_length(len(ys), len(xs))
+    acc = R.zero
+    for a, b in zip(xs, ys):
+        if not (R.is_zero(a) or R.is_zero(b)):
+            acc = R.add(acc, R.mul(a, b))
+    return acc
 
 
 class Vector:
@@ -62,22 +70,6 @@ class Vector:
     def __init__(self, ring: Ring, comps, copy: bool = True) -> None:
         self.ring = ring
         self.comps = list(comps) if copy else comps
-
-    @classmethod
-    def zero(cls, ring: Ring, dim: int) -> "Vector":
-        return cls(ring, [ring.zero] * dim, copy=False)
-
-    @classmethod
-    def basis(cls, ring: Ring, dim: int, idx: int) -> "Vector":
-        if not 0 <= idx < dim:
-            raise IndexOutOfRange(f"index {idx} outside 0..{dim - 1}")
-        comps = [ring.zero] * dim
-        comps[idx] = ring.one
-        return cls(ring, comps, copy=False)
-
-    @classmethod
-    def from_scalars(cls, ring: Ring, items) -> "Vector":
-        return cls(ring, [_payload(ring, x) for x in items], copy=False)
 
     def __len__(self) -> int:
         return len(self.comps)
@@ -95,13 +87,11 @@ class Vector:
     def __repr__(self) -> str:
         return "(" + ", ".join(self.ring.show(c) for c in self.comps) + ")"
 
-    def copy(self) -> "Vector":
-        return Vector(self.ring, self.comps)
-
     def __add__(self, other: "Vector") -> "Vector":
         R = self.ring
         if other.ring != R:
             raise RingMismatch(f"{R.descriptor} vs {other.ring.descriptor}")
+        _check_length(len(other.comps), len(self.comps))
         return Vector(R, [R.add(a, b) for a, b in zip(self.comps, other.comps)], copy=False)
 
     def __sub__(self, other: "Vector") -> "Vector":
@@ -122,15 +112,7 @@ class Vector:
         R = self.ring
         if other.ring != R:
             raise RingMismatch(f"{R.descriptor} vs {other.ring.descriptor}")
-        acc = R.zero
-        for a, b in zip(self.comps, other.comps):
-            if not (R.is_zero(a) or R.is_zero(b)):
-                acc = R.add(acc, R.mul(a, b))
-        return Scalar(R, acc)
-
-    def is_zero(self) -> bool:
-        R = self.ring
-        return all(R.is_zero(c) for c in self.comps)
+        return Scalar(R, _dot(R, self.comps, other.comps))
 
 
 class Matrix:
@@ -154,23 +136,8 @@ class Matrix:
     def zeros(cls, ring: Ring, dim: int) -> "Matrix":
         return cls(ring, [[ring.zero] * dim for _ in range(dim)], copy=False)
 
-    @classmethod
-    def from_scalars(cls, ring: Ring, rows) -> "Matrix":
-        out = [[_payload(ring, x) for x in r] for r in rows]
-        d = len(out)
-        if any(len(r) != d for r in out):
-            raise IndexOutOfRange("matrix rows must all have the full dimension")
-        return cls(ring, out, copy=False)
-
     def copy(self) -> "Matrix":
         return Matrix(self.ring, [r[:] for r in self.rows], copy=False)
-
-    def __getitem__(self, ij) -> Scalar:
-        i, j = ij
-        return Scalar(self.ring, self.rows[i][j])
-
-    def set(self, i: int, j: int, x) -> None:
-        self.rows[i][j] = _payload(self.ring, x)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -231,14 +198,7 @@ class Matrix:
         R = self.ring
         if v.ring != R:
             raise RingMismatch(f"{R.descriptor} vs {v.ring.descriptor}")
-        out = []
-        for row in self.rows:
-            acc = R.zero
-            for a, b in zip(row, v.comps):
-                if not (R.is_zero(a) or R.is_zero(b)):
-                    acc = R.add(acc, R.mul(a, b))
-            out.append(acc)
-        return Vector(R, out, copy=False)
+        return Vector(R, [_dot(R, row, v.comps) for row in self.rows], copy=False)
 
     def row_add(self, target: int, source: int, coeff) -> None:
         """row[target] += coeff * row[source], coeff a raw payload."""
@@ -340,6 +300,7 @@ class FormContext:
 
     def tilde(self, x: Vector) -> Vector:
         """The row vector x^T * gram, returned as a Vector."""
+        _check_length(len(x.comps), self.dim)
         return Vector(x.ring, self.gram_row(x.ring, x.comps), copy=False)
 
     def phi(self, x: Vector, y: Vector) -> Scalar:

@@ -122,9 +122,6 @@ class Ring:
     def __repr__(self) -> str:
         return self.descriptor
 
-    def __call__(self, value) -> "Scalar":
-        return Scalar(self, self.from_int(value))
-
     def sample_unit(self, rng):
         while True:
             a = self.sample(rng)
@@ -676,12 +673,6 @@ class Scalar:
             return NotImplemented
         return Scalar(self.ring, self.ring.add(self.payload, self.ring.neg(p)))
 
-    def __rsub__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.add(p, self.ring.neg(self.payload)))
-
     def __neg__(self):
         return Scalar(self.ring, self.ring.neg(self.payload))
 
@@ -692,26 +683,6 @@ class Scalar:
         return Scalar(self.ring, self.ring.mul(self.payload, p))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return Scalar(self.ring, self.ring.mul(self.payload, self.ring.inv(p)))
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or isinstance(n, bool):
-            return NotImplemented
-        R = self.ring
-        base = self.payload if n >= 0 else R.inv(self.payload)
-        n = abs(n)
-        acc = R.one
-        while n:
-            if n & 1:
-                acc = R.mul(acc, base)
-            base = R.mul(base, base)
-            n >>= 1
-        return Scalar(R, acc)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
@@ -733,9 +704,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return self.ring.is_zero(self.payload)
-
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.payload)
 
     def inv(self) -> "Scalar":
         return Scalar(self.ring, self.ring.inv(self.payload))
@@ -786,12 +754,8 @@ class IdealDescriptor:
             return
         raise UnsupportedRing(f"ideal 'extmax' is undefined for {ring.descriptor}")
 
-    def member(self, ring: Ring, payload) -> bool:
-        self.validate_for(ring)
-        return self._member(ring, payload)
-
     def _member(self, ring: Ring, payload) -> bool:
-        """member for a ring that validate_for has already passed."""
+        """Is payload in the ideal?  Its one caller, matrices_congruent, validates the ring."""
         if self.kind == "zero":
             return ring.is_zero(payload)
         if self.kind == "max":

@@ -1,9 +1,27 @@
-"""Random inputs shared by several test modules."""
+"""Random inputs and scalar and matrix builders shared by several test modules."""
 
 from orthgen.quadratic_space import Matrix
+from orthgen.rings import Scalar
 
 # One ring of every kind the kernels are checked over.
 RINGS = ("Q", "Fp:5", "Zpk:3:2", "trunc:F5:3", "poly:Q", "laurent:Q")
+
+
+def scalar(ring, k):
+    """The Scalar of ring that the int (or, over Q, Fraction) k names."""
+    return Scalar(ring, ring.from_int(k))
+
+
+def matrix(ring, rows):
+    """A square Matrix over ring from rows of ints or Scalars of ring."""
+
+    def payload(x):
+        if isinstance(x, Scalar):
+            assert x.ring == ring, (x.ring, ring)
+            return x.payload
+        return ring.from_int(x)
+
+    return Matrix(ring, [[payload(x) for x in row] for row in rows], copy=False)
 
 
 def random_matrix(ring, dim, rng):

@@ -78,10 +78,6 @@ def _report(capsys, k, label, problems):
     assert not problems, problems[:5]
 
 
-def _s(ring, x):
-    return Scalar(ring, ring.from_int(x))
-
-
 def _rand_scalar(ring, rng):
     return Scalar(ring, ring.sample(rng))
 
@@ -214,10 +210,7 @@ def test_criterion_2_generator_orthogonality(capsys):
                     break
             cols = {}
             for col in (s, t):
-                comps = [
-                    Scalar(P, P.make([frame[(r, col)].payload])) for r in range(7)
-                ]
-                cols[col] = Vector.from_scalars(P, comps)
+                cols[col] = Vector(P, [P.make([frame.rows[r][col]]) for r in range(7)])
             x = variable(P) * _rand_scalar(P, rng)
             spec = TransvectionSpec(CTX3, cols[s], cols[t], x)
             m, _ = theta_conjugate(transvection_matrix(spec), 1 if rng.randrange(2) else -1, CTX3)
@@ -348,14 +341,14 @@ def test_criterion_7_theta_polynomiality(capsys):
 
             def col(ring, j, scale_u=None):
                 comps = [
-                    Scalar(ring, ring.make([frame[(r, j)].payload]))
+                    Scalar(ring, ring.make([frame.rows[r][j]]))
                     if ring is P
-                    else Scalar(ring, ring.make(0, [frame[(r, j)].payload]))
+                    else Scalar(ring, ring.make(0, [frame.rows[r][j]]))
                     for r in range(7)
                 ]
                 if scale_u is not None:
                     comps[1:4] = [scale_u * cc for cc in comps[1:4]]
-                return Vector.from_scalars(ring, comps)
+                return Vector(ring, [c.payload for c in comps])
 
             f = _rand_scalar(P, rng)
             spec = TransvectionSpec(CTX3, col(P, s), col(P, t), variable(P) * f)

@@ -26,16 +26,33 @@ form is written once, in FormContext.gram_row: tilde, phi and quad loop
 over no indices, and the column test behind is_orthogonal and
 similitude_multiplier and the transvection kernel read the same row,
 with no partner table and no unknown-multiplier mode.
+
+Every function earns a caller.  A fresh interpreter is traced while it
+imports the package and runs the CLI goldens (CASES, REJECT_CASES and
+TRUNC_CASES), run_suite("all", 42, 5) and mutation_selftest().  Every
+def in the package source, nested ones included, must be reached there
+or be allowed: by rule, the value and debug protocol (__eq__, __hash__,
+__repr__, __bool__, show, _poly_str) anywhere and the ring protocol
+(reduce, sample, sample_unit, is_unit, inv) on a Ring, and otherwise by
+name, each with its reason.  A named entry that the trace reaches is
+stale and fails the test too.
 """
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import orthgen
+from orthgen import rings
 from orthgen.quadratic_space import Matrix, Vector
+
+from test_cli import CASES, GOLDEN, REJECT_CASES, TRUNC_CASES
 
 PACKAGE_DIR = Path(orthgen.__file__).parent
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -219,3 +236,96 @@ def test_the_split_form_is_written_once():
     assert not any(isinstance(node, ast.Constant) and node.value is None for node in ast.walk(test))
     assert set(_call_sites(trees["transvections.py"], "gram_row")) == {"apply_transvection"}
     assert _call_sites(trees["transvections.py"], "tilde") == []
+
+
+# Run in a fresh interpreter: (filename, first line) of every code object
+# the package calls, from its own import on.  The cases come on stdin.
+_TRACE = """
+import io, json, os, sys
+
+cases = json.load(sys.stdin)
+reached = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+from orthgen import cli, mutation_selftest, run_suite
+for name, argv, stdin_text, expect_code in cases:
+    sys.stdin, sys.stdout = io.StringIO(stdin_text), io.StringIO()
+    code = cli.main(argv)
+    sys.stdin, sys.stdout = sys.__stdin__, sys.__stdout__
+    assert code == expect_code, (name, code)
+assert run_suite("all", 42, 5).total_failures == 0
+assert all(mutation_selftest().values())
+sys.setprofile(None)
+package = os.path.dirname(cli.__file__)
+print(json.dumps(sorted(site for site in reached if os.path.dirname(site[0]) == package)))
+"""
+
+# Allowed anywhere: the value and debug protocol.
+_VALUE_PROTOCOL = {"__eq__", "__hash__", "__repr__", "__bool__", "show", "_poly_str"}
+# Allowed on a Ring subclass: the ring protocol every ring implements.
+_RING_PROTOCOL = {"reduce", "sample", "sample_unit", "is_unit", "inv"}
+# Allowed by name, each with its reason.
+_ALLOWED = {
+    "rings.Scalar.__add__": "the benchmark's certificate pool bumps a witness parameter with +",
+    "quadratic_space.Matrix.__matmul__": "the benchmark builds its pools with dense products",
+    "generators.perm_matrix": "the benchmark builds its monomial pool with it",
+    "generators.Word.__len__": "the benchmark counts witness letters with len",
+    "rings.LaurentRing.to_json": "the benchmark's certificate pool serializes Laurent letters",
+    "decompose.TmtDecomposition.from_json": "the benchmark reloads tmt answers to check them",
+    "decompose.HorrocksInstance.to_json": "the benchmark serializes its certificate requests",
+    "cli.main_entry": "the console script",
+    "rings._oversized": "error path: a rational past the digit limit",
+    "identity_suite._vec_json": "error path: records the vectors of a failing law",
+    "transvections.TransvectionSpec.to_json": "error path: records a failing transvection",
+    "generators._list_from_json": "validates a PERM or DIAG letter on load",
+}
+
+
+def _defs():
+    """{(filename, first line): (module, qualname, class)} of every def in the package."""
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        module = path.stem
+
+        def visit(node, scope, cls):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(str(path), line)] = (module, ".".join(scope + (child.name,)), cls)
+                    visit(child, scope + (child.name,), None)
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, scope + (child.name,), child.name)
+                else:
+                    visit(child, scope, cls)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), (), None)
+    return found
+
+
+def _is_ring_method(module, cls):
+    return module == "rings" and cls is not None and issubclass(getattr(rings, cls), rings.Ring)
+
+
+def test_every_function_is_reached_or_allowed():
+    cases = [(name, argv, (GOLDEN / stdin_name).read_text(encoding="utf-8") if stdin_name else "", code)
+             for name, argv, stdin_name, code in CASES + REJECT_CASES + TRUNC_CASES]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TRACE], input=json.dumps(cases),
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    reached = {(str(Path(name).resolve()), line) for name, line in json.loads(proc.stdout)}
+    unreached = set()
+    for (path, line), (module, qualname, cls) in _defs().items():
+        if (str(Path(path).resolve()), line) in reached:
+            continue
+        name = qualname.rsplit(".", 1)[-1]
+        if name in _VALUE_PROTOCOL or (name in _RING_PROTOCOL and _is_ring_method(module, cls)):
+            continue
+        unreached.add(f"{module}.{qualname}")
+    assert sorted(unreached - set(_ALLOWED)) == []
+    assert sorted(set(_ALLOWED) - unreached) == [], "stale allowlist entries"

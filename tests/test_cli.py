@@ -31,10 +31,13 @@ from orthgen.rings import (
     PrimeField,
     RationalField,
     Scalar,
+    TruncatedRing,
     canonical_json,
     laurent_of_poly,
     variable,
 )
+
+from sampling import matrix, scalar
 
 QQ = RationalField()
 F5 = PrimeField(5)
@@ -62,14 +65,6 @@ def run_cli(argv, stdin_text=None):
     return code, out.getvalue()
 
 
-def _s(ring, x):
-    return Scalar(ring, ring.from_int(x))
-
-
-def _mat(ring, rows):
-    return Matrix(ring, [[ring.from_int(x) for x in row] for row in rows])
-
-
 def _closed_form_to():
     a, b, c, p, q, r = 1, 2, 3, 5, 7, 11
     rows = [
@@ -90,17 +85,22 @@ def _tmt_input():
 
 
 def _local_input():
-    m = gen_F(CTX3, "F1", 1, None, _s(Z9, 3))
-    m = m @ gen_F(CTX3, "F3", 1, 2, _s(Z9, 4))
-    return m @ gen_F(CTX3, "F2", 2, None, _s(Z9, 7))
+    m = gen_F(CTX3, "F1", 1, None, scalar(Z9, 3))
+    m = m @ gen_F(CTX3, "F3", 1, 2, scalar(Z9, 4))
+    return m @ gen_F(CTX3, "F2", 2, None, scalar(Z9, 7))
+
+
+def _local_trunc_input():
+    word = random_word(CTX3, TruncatedRing(PrimeField(3), 3), random.Random(5), 12)
+    return eval_word(word)
 
 
 def _horrocks_input():
     x_poly = variable(PQ)
     one_plus = Scalar(PQ, PQ.one) + x_poly
     alpha = gen_F(CTX3, "F1", 1, None, one_plus)
-    beta = gen_F(CTX3, "F1", 1, None, variable(LQ) ** -1)
-    wit = laurent_of_poly(one_plus) - variable(LQ) ** -1
+    beta = gen_F(CTX3, "F1", 1, None, variable(LQ).inv())
+    wit = laurent_of_poly(one_plus) - variable(LQ).inv()
     witness = Word(CTX3, LQ, [GenLabel("F1", 1, None, wit)])
     return HorrocksInstance(alpha, beta, witness)
 
@@ -129,7 +129,7 @@ _INPUTS = {
     "verify_monomial.in": lambda: canonical_json(
         perm_matrix(CTX3, QQ, (1, 3, 2, 4, 6, 5, 7)).to_json()),
     "verify_congruent.in": lambda: canonical_json(
-        gen_F(CTX3, "F1", 1, None, _s(Z9, 3)).to_json()),
+        gen_F(CTX3, "F1", 1, None, scalar(Z9, 3)).to_json()),
     "verify_nonsquare.in": lambda: json.dumps(
         {"ring": "Q", "dim": 2, "entries": [["1", "0", "0"], ["0", "1"]]}),
     "tmt_random.in": lambda: canonical_json(_tmt_input().to_json()),
@@ -137,10 +137,11 @@ _INPUTS = {
         perm_matrix(CTX3, F5, (1, 3, 2, 4, 6, 5, 7)).to_json()),
     "to_closed.in": lambda: canonical_json(_closed_form_to().to_json()),
     "local_word.in": lambda: canonical_json(_local_input().to_json()),
+    "local_trunc.in": lambda: canonical_json(_local_trunc_input().to_json()),
     "unipotent_upper.in": lambda: canonical_json(
-        _mat(QQ, [[1, 2, 3], [0, 1, 5], [0, 0, 1]]).to_json()),
+        matrix(QQ, [[1, 2, 3], [0, 1, 5], [0, 0, 1]]).to_json()),
     "alt_lower.in": lambda: canonical_json(
-        _mat(F7, [[0, -4, -1], [4, 0, -6], [1, 6, 0]]).to_json()),
+        matrix(F7, [[0, -4, -1], [4, 0, -6], [1, 6, 0]]).to_json()),
     "horrocks_accept.in": lambda: canonical_json(_horrocks_input().to_json()),
     "horrocks_perm_no_perm.in": lambda: _horrocks_with_letter(
         fam="PERM", i=None, z=None),
@@ -208,6 +209,12 @@ REJECT_CASES = [
      ["identities", "--all", "--samples", "0"], None, 2),
 ]
 
+# The local step over a truncated polynomial ring: the one pinned run of trunc.
+TRUNC_CASES = [
+    ("decompose_local_trunc",
+     ["decompose", "--mode", "local", "--check"], "local_trunc.in", 0),
+]
+
 
 def _regen_requested():
     return bool(os.environ.get("ORTHGEN_REGEN"))
@@ -222,8 +229,8 @@ def _stdin_for(name):
     return path.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name,argv,stdin_name,expect_code", CASES + REJECT_CASES,
-                         ids=[case[0] for case in CASES + REJECT_CASES])
+@pytest.mark.parametrize("name,argv,stdin_name,expect_code", CASES + REJECT_CASES + TRUNC_CASES,
+                         ids=[case[0] for case in CASES + REJECT_CASES + TRUNC_CASES])
 def test_golden(name, argv, stdin_name, expect_code):
     code, out = run_cli(argv, _stdin_for(stdin_name))
     path = GOLDEN / f"{name}.out"
@@ -287,7 +294,7 @@ def test_decompose_serializes_outside_its_exit_one_branch(monkeypatch, capsys):
         raise JSONFormatError("too many digits")
 
     monkeypatch.setattr(cli, "word_to_json", unprintable)
-    block = canonical_json(_mat(QQ, [[1, 2], [0, 1]]).to_json())
+    block = canonical_json(matrix(QQ, [[1, 2], [0, 1]]).to_json())
     assert run_cli(["factor", "--mode", "unipotent", "--check"], block) == (2, "")
     assert capsys.readouterr().err == "error: too many digits\n"
 
@@ -340,9 +347,9 @@ def test_decompose_domain_failures_exit_one(capsys):
     assert capsys.readouterr().err == "error: input does not preserve the form\n"
     even = canonical_json(Matrix.identity(F5, 6).to_json())
     assert run_cli(["decompose", "--mode", "tmt"], even)[0] == 1
-    not_uni = canonical_json(_mat(QQ, [[1, 2], [3, 1]]).to_json())
+    not_uni = canonical_json(matrix(QQ, [[1, 2], [3, 1]]).to_json())
     assert run_cli(["factor", "--mode", "unipotent"], not_uni)[0] == 1
-    not_alt = canonical_json(_mat(QQ, [[1, 0], [0, 1]]).to_json())
+    not_alt = canonical_json(matrix(QQ, [[1, 0], [0, 1]]).to_json())
     assert run_cli(["factor", "--mode", "alt"], not_alt)[0] == 1
 
 
@@ -416,7 +423,7 @@ def test_one_parser_serves_every_call_like_a_fresh_process(monkeypatch, capsys):
 
 
 def test_verify_congruent_fails_with_exit_one():
-    blob = canonical_json(gen_F(CTX3, "F1", 1, None, _s(Z9, 1)).to_json())
+    blob = canonical_json(gen_F(CTX3, "F1", 1, None, scalar(Z9, 1)).to_json())
     code, out = run_cli(["verify", "--what", "congruent", "--ideal", "max"], blob)
     assert code == 1
     assert json.loads(out)["ok"] is False

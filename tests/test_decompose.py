@@ -78,7 +78,7 @@ from orthgen.rings import (
 from orthgen.transvections import TransvectionSpec, transvection_matrix
 
 from dense_oracle import gram, orthogonal_inverse
-from sampling import random_perm
+from sampling import matrix, random_perm, scalar
 
 QQ = RationalField()
 F3 = PrimeField(3)
@@ -91,14 +91,6 @@ MAX = IdealDescriptor("max")
 CTX3 = FormContext(3)
 CTX4 = FormContext(4)
 ECTX3 = FormContext(3, odd=False)
-
-
-def _s(ring, v):
-    return Scalar(ring, ring.from_int(v))
-
-
-def _mat(ring, rows):
-    return Matrix(ring, [[ring.from_int(x) for x in row] for row in rows])
 
 
 def _random_monomial(ctx, ring, rng):
@@ -161,14 +153,14 @@ def test_factor_unipotent_identity_is_empty():
 
 def test_factor_unipotent_reads_entries_literally():
     a, b, c = 1, 2, 3
-    gamma = _mat(QQ, [[1, a, b], [0, 1, c], [0, 0, 1]])
+    gamma = matrix(QQ, [[1, a, b], [0, 1, c], [0, 0, 1]])
     w = factor_unipotent(gamma, True, CTX3)
     assert [(l.family, l.i, l.j, l.param.payload) for l in w.letters] == [
         ("F3", 1, 3, Fraction(b)),
         ("F3", 2, 3, Fraction(c)),
         ("F3", 1, 2, Fraction(a)),
     ]
-    expect = _mat(QQ, [
+    expect = matrix(QQ, [
         [1, 0, 0, 0, 0, 0, 0],
         [0, 1, a, b, 0, 0, 0],
         [0, 0, 1, c, 0, 0, 0],
@@ -192,8 +184,8 @@ def test_factor_unipotent_random_round_trip():
 
 def test_factor_unipotent_rejects_bad_blocks():
     with pytest.raises(NotUnipotent):
-        factor_unipotent(_mat(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]), True, CTX3)
-    lower_entry = _mat(QQ, [[1, 0, 0], [4, 1, 0], [0, 0, 1]])
+        factor_unipotent(matrix(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]), True, CTX3)
+    lower_entry = matrix(QQ, [[1, 0, 0], [4, 1, 0], [0, 0, 1]])
     with pytest.raises(NotUnipotent):
         factor_unipotent(lower_entry, True, CTX3)
     with pytest.raises(IndexOutOfRange):
@@ -208,12 +200,12 @@ def test_factor_unipotent_rejects_bad_blocks():
 def test_factor_alt_zero_and_single_entry():
     w = factor_alt(Matrix.zeros(QQ, 3), True, CTX3)
     assert w.letters == ()
-    a = _mat(QQ, [[0, 7, 0], [-7, 0, 0], [0, 0, 0]])
+    a = matrix(QQ, [[0, 7, 0], [-7, 0, 0], [0, 0, 0]])
     w = factor_alt(a, True, CTX3)
     assert [(l.family, l.i, l.j, l.param.payload) for l in w.letters] == [
         ("F4", 1, 2, Fraction(7)),
     ]
-    assert eval_word(w) == gen_F(CTX3, "F4", 1, 2, _s(QQ, 7))
+    assert eval_word(w) == gen_F(CTX3, "F4", 1, 2, scalar(QQ, 7))
 
 
 def test_factor_alt_random_round_trip():
@@ -230,7 +222,7 @@ def test_factor_alt_random_round_trip():
 def test_factor_alt_rejects_non_alternating():
     with pytest.raises(NotAlternating):
         factor_alt(Matrix.identity(QQ, 3), True, CTX3)
-    sym = _mat(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    sym = matrix(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     with pytest.raises(NotAlternating):
         factor_alt(sym, True, CTX3)
 
@@ -267,8 +259,8 @@ def test_factor_to_lower_closed_form():
     # Lower variant at the same tuple: alternating block delta gamma^-1
     # to the left of diag(gamma, (gamma^T)^-1) with gamma lower unitriangular.
     a, b, c, p, q, r = 1, 2, 3, 5, 7, 11
-    gamma = _mat(QQ, [[1, 0, 0], [a, 1, 0], [b, c, 1]])
-    dg = _mat(QQ, [
+    gamma = matrix(QQ, [[1, 0, 0], [a, 1, 0], [b, c, 1]])
+    dg = matrix(QQ, [
         [0, -c * q + p, q],
         [c * q - p, 0, r],
         [-q, -r, 0],
@@ -300,9 +292,9 @@ def test_factor_to_random_round_trips():
 def test_factor_to_rejects_wrong_shapes():
     # live center row
     with pytest.raises(NotTOShape):
-        factor_to(gen_F(CTX3, "F1", 1, None, _s(QQ, 1)), CTX3)
+        factor_to(gen_F(CTX3, "F1", 1, None, scalar(QQ, 1)), CTX3)
     # unit diagonal but not unitriangular
-    d = diag_orthogonal(CTX3, _s(QQ, 1), [_s(QQ, 2), _s(QQ, 1), _s(QQ, 1)])
+    d = diag_orthogonal(CTX3, scalar(QQ, 1), [scalar(QQ, 2), scalar(QQ, 1), scalar(QQ, 1)])
     with pytest.raises(NotTOShape):
         factor_to(d, CTX3)
     # upper gamma next to a lower alternating block fits neither case
@@ -385,8 +377,8 @@ def _non_orthogonal_shapes(ctx, ring, rng):
     r, c = rng.randrange(ctx.dim), rng.randrange(ctx.dim)
     bent.rows[r][c] = ring.add(bent.rows[r][c], ring.one)
     dense = Matrix(ring, [[ring.sample(rng) for _ in range(ctx.dim)] for _ in range(ctx.dim)])
-    d = [_s(ring, 2)] + [_s(ring, 1)] * (ctx.n - 1)
-    uv_mismatch = diag_orthogonal(ctx, _s(ring, 1), d)
+    d = [scalar(ring, 2)] + [scalar(ring, 1)] * (ctx.n - 1)
+    uv_mismatch = diag_orthogonal(ctx, scalar(ring, 1), d)
     uv_mismatch.rows[v1][v1] = ring.from_int(2)
     center_two = Matrix.identity(ring, ctx.dim)
     center_two.rows[0][0] = ring.from_int(2)
@@ -419,10 +411,10 @@ def test_tmt_json_round_trip_and_tower_check():
     # F2 only enters the tower at parameter one half
     half_w = Word(CTX3, F5, [GenLabel("F2", 1, None, Scalar(F5, F5.half))])
     TmtDecomposition(half_w, Matrix.identity(F5, 7), Word(CTX3, F5, ()))
-    bad_w = Word(CTX3, F5, [GenLabel("F2", 1, None, _s(F5, 1))])
+    bad_w = Word(CTX3, F5, [GenLabel("F2", 1, None, scalar(F5, 1))])
     with pytest.raises(NotTOShape):
         TmtDecomposition(bad_w, Matrix.identity(F5, 7), Word(CTX3, F5, ()))
-    f5_w = Word(CTX3, F5, [GenLabel("F5", 1, 2, _s(F5, 1))])
+    f5_w = Word(CTX3, F5, [GenLabel("F5", 1, 2, scalar(F5, 1))])
     with pytest.raises(NotTOShape):
         TmtDecomposition(Word(CTX3, F5, ()), Matrix.identity(F5, 7), f5_w)
     with pytest.raises(JSONFormatError):
@@ -433,18 +425,18 @@ def test_tmt_json_round_trip_and_tower_check():
 
 
 def test_mo_split_diagonal_and_permutation_parts():
-    d = diag_orthogonal(CTX3, _s(F5, -1), [_s(F5, 2), _s(F5, 3), _s(F5, 1)])
+    d = diag_orthogonal(CTX3, scalar(F5, -1), [scalar(F5, 2), scalar(F5, 3), scalar(F5, 1)])
     core = mo_split(d, CTX3)
     assert core.letters == (
         GenLabel("PERM", param=(1, 2, 3, 4, 5, 6, 7)),
-        GenLabel("DIAG", param=(_s(F5, -1), (_s(F5, 2), _s(F5, 3), _s(F5, 1)))),
+        GenLabel("DIAG", param=(scalar(F5, -1), (scalar(F5, 2), scalar(F5, 3), scalar(F5, 1)))),
     )
     assert eval_word(core) == d
     p = perm_matrix(CTX3, F5, (1, 3, 2, 4, 6, 5, 7))
     core = mo_split(p, CTX3)
     assert core.letters == (
         GenLabel("PERM", param=(1, 3, 2, 4, 6, 5, 7)),
-        GenLabel("DIAG", param=(_s(F5, 1), (_s(F5, 1),) * 3)),
+        GenLabel("DIAG", param=(scalar(F5, 1), (scalar(F5, 1),) * 3)),
     )
     assert eval_word(core) == p
 
@@ -463,11 +455,11 @@ def test_mo_split_rejections():
     dense.rows[1][2] = F5.one
     with pytest.raises(NotMonomial):
         mo_split(dense, CTX3)
-    doubled = Matrix.identity(F5, 7).scale(_s(F5, 2))
+    doubled = Matrix.identity(F5, 7).scale(scalar(F5, 2))
     with pytest.raises(BadSign):
         mo_split(doubled, CTX3)
     # monomial, good center, but v slots inconsistent with the u slots
-    broken = diag_orthogonal(CTX3, _s(F5, 1), [_s(F5, 2), _s(F5, 1), _s(F5, 1)])
+    broken = diag_orthogonal(CTX3, scalar(F5, 1), [scalar(F5, 2), scalar(F5, 1), scalar(F5, 1)])
     broken.rows[4][4] = F5.from_int(4)
     with pytest.raises(NotOrthogonal):
         mo_split(broken, CTX3)
@@ -478,10 +470,10 @@ def test_mo_split_rejections():
 
 def test_lift_word_parameters_and_residue():
     w = Word(CTX3, F3, [
-        GenLabel("F1", 1, None, _s(F3, 2)),
+        GenLabel("F1", 1, None, scalar(F3, 2)),
         GenLabel("F2", 3, None, Scalar(F3, F3.half), -1),
-        GenLabel("F3", 1, 2, _s(F3, 1)),
-        GenLabel("F4", 2, 3, _s(F3, 2)),
+        GenLabel("F3", 1, 2, scalar(F3, 1)),
+        GenLabel("F4", 2, 3, scalar(F3, 2)),
     ])
     lifted = _lift_word(w, Z9)
     assert lifted.ring == Z9
@@ -499,10 +491,10 @@ def test_lift_perm_and_diag():
         lifted = _lift_word(w, Z9)
         assert lifted.ring == Z9 and lifted.letters[0].param == image
         assert matrix_residue(eval_word(lifted)) == eval_word(w)
-    d0, d = _s(F5, -1), (_s(F5, 2), _s(F5, 3), _s(F5, 1))
+    d0, d = scalar(F5, -1), (scalar(F5, 2), scalar(F5, 3), scalar(F5, 1))
     lifted = _lift_word(Word(CTX3, F5, [GenLabel("DIAG", param=(d0, d))]), Z25)
     m = eval_word(lifted)
-    assert [m[(k, k)].payload for k in range(7)] == [24, 2, 3, 1, 13, 17, 1]
+    assert [m.rows[k][k] for k in range(7)] == [24, 2, 3, 1, 13, 17, 1]
     assert is_orthogonal(m, CTX3)
     inverse = _lift_word(Word(CTX3, F5, [GenLabel("DIAG", param=(d0, d), exp=-1)]), Z25)
     assert eval_word(inverse) @ m == Matrix.identity(Z25, 7)
@@ -529,7 +521,7 @@ def test_local_identity_and_congruent_input():
     dec = local_decompose(Matrix.identity(Z9, 7), CTX3)
     assert dec.tau1.letters == () and dec.tau2.letters == ()
     assert dec.mu == dec.residual == Matrix.identity(Z9, 7)
-    alpha = gen_F(CTX3, "F1", 1, None, _s(Z9, 3))
+    alpha = gen_F(CTX3, "F1", 1, None, scalar(Z9, 3))
     dec = local_decompose(alpha, CTX3)
     assert dec.tau1.letters == () and dec.tau2.letters == ()
     assert dec.mu == Matrix.identity(Z9, 7) and dec.residual == alpha
@@ -577,7 +569,7 @@ def test_local_record_checks_its_tower_words():
     empty = Word(CTX3, Z9, ())
     record = LocalDecomposition(half_w, eye, empty, eye)
     assert record.recompose() == eval_word(half_w)
-    bad_w = Word(CTX3, Z9, [GenLabel("F2", 1, None, _s(Z9, 1))])
+    bad_w = Word(CTX3, Z9, [GenLabel("F2", 1, None, scalar(Z9, 1))])
     with pytest.raises(NotTOShape):
         LocalDecomposition(empty, eye, bad_w, eye)
 
@@ -612,7 +604,7 @@ def test_local_form_is_certified_once_on_the_residual(monkeypatch):
         local_decompose(skew, CTX3)
     assert tested == [Z9]
     tested.clear()
-    local_decompose(gen_F(CTX3, "F1", 1, None, _s(Z9, 3)), CTX3)
+    local_decompose(gen_F(CTX3, "F1", 1, None, scalar(Z9, 3)), CTX3)
     assert tested == [Z9]
 
 
@@ -667,7 +659,7 @@ def test_theta_direction_inverts():
     th = theta(CTX3, LQ)
     th_inv = Matrix.identity(LQ, 7)
     for t in range(4):
-        th_inv.rows[t][t] = (variable(LQ) ** -1).payload
+        th_inv.rows[t][t] = variable(LQ).inv().payload
     conj_plus, _ = theta_conjugate(w, 1, CTX3)
     conj_minus, _ = theta_conjugate(w, -1, CTX3)
     assert conj_plus == th @ over_l @ th_inv
@@ -694,7 +686,7 @@ def test_theta_transvection_spec_path():
     frame = one_perp(eval_word(eword))
 
     def col(j):
-        return Vector(PQ, [PQ.make([frame[(r, j)].payload]) for r in range(7)])
+        return Vector(PQ, [PQ.make([frame.rows[r][j]]) for r in range(7)])
 
     X = variable(PQ)
     spec = TransvectionSpec(CTX3, col(1), col(2), X + X * X)
@@ -753,7 +745,7 @@ def test_horrocks_embeds_alpha_in_one_laurent_ring(monkeypatch):
     text = (Path(__file__).parent / "golden" / "horrocks_accept.in").read_text(encoding="utf-8")
     inst = HorrocksInstance.from_json(json.loads(text))
     embedded = _laurent_matrix(inst.alpha)
-    assert embedded.rows == [[laurent_of_poly(inst.alpha[i, j]).payload for j in range(7)]
+    assert embedded.rows == [[laurent_of_poly(Scalar(PQ, inst.alpha.rows[i][j])).payload for j in range(7)]
                              for i in range(7)]
     built = [0]
     plain = LaurentRing.__init__
@@ -784,8 +776,8 @@ def test_horrocks_negative_power_splitting():
     X = variable(PQ)
     one_plus = Scalar(PQ, PQ.one) + X
     alpha = gen_F(CTX3, "F1", 1, None, one_plus)
-    beta = gen_F(CTX3, "F1", 1, None, variable(LQ) ** -1)
-    wit_param = laurent_of_poly(one_plus) - variable(LQ) ** -1
+    beta = gen_F(CTX3, "F1", 1, None, variable(LQ).inv())
+    wit_param = laurent_of_poly(one_plus) - variable(LQ).inv()
     witness = Word(CTX3, LQ, [GenLabel("F1", 1, None, wit_param)])
     verdict = check_horrocks_instance(HorrocksInstance(alpha, beta, witness))
     assert verdict["accepted"]
@@ -816,8 +808,8 @@ def test_horrocks_bent_beta_is_judged_by_the_division_free_equation():
 def test_horrocks_claim_failure_modes():
     wp = Word(CTX3, PQ, _poly_letters())
     alpha = eval_word(wp)
-    flipped = diag_orthogonal(CTX3, _s(QQ, -1),
-                              [_s(QQ, 1), _s(QQ, 1), _s(QQ, 1)])
+    flipped = diag_orthogonal(CTX3, scalar(QQ, -1),
+                              [scalar(QQ, 1), scalar(QQ, 1), scalar(QQ, 1)])
     inst = HorrocksInstance(alpha, Matrix.identity(LQ, 7), _laurent_word(wp),
                             claim=(flipped, wp))
     verdict = check_horrocks_instance(inst)

@@ -37,7 +37,7 @@ from orthgen.quadratic_space import FormContext, Matrix, is_orthogonal, one_perp
 from orthgen.rings import PrimeField, RationalField, Scalar, canonical_json, ring_from_string, variable
 
 from dense_oracle import letter_matrix, orthogonal_inverse
-from sampling import random_perm
+from sampling import random_perm, scalar
 
 QQ = RationalField()
 F5 = PrimeField(5)
@@ -54,7 +54,7 @@ def q(x) -> Scalar:
 def mat_q(rows, dim=7) -> Matrix:
     m = Matrix.identity(QQ, dim)
     for i, j, val in rows:
-        m.set(i - 1, j - 1, q(val))
+        m.rows[i - 1][j - 1] = Fraction(val)
     return m
 
 
@@ -180,8 +180,8 @@ def test_gen_oe_formula_and_errors():
     assert gen_oe(ECTX3, 1, 2, q(0)) == Matrix.identity(QQ, 6)
     # oe_13(b) = I_6 + e_{1,3}(b) - e_{6,4}(b)
     m = Matrix.identity(QQ, 6)
-    m.set(0, 2, q(2))
-    m.set(5, 3, q(-2))
+    m.rows[0][2] = Fraction(2)
+    m.rows[5][3] = Fraction(-2)
     assert gen_oe(ECTX3, 1, 3, q(2)) == m
     assert is_orthogonal(gen_oe(ECTX3, 2, 6, q(5)), ECTX3)
     with pytest.raises(BadIndex):
@@ -324,12 +324,13 @@ def test_theta_shape_and_inverse():
     x = variable(LQ)
     expect = Matrix.identity(LQ, 7)
     for s in range(4):
-        expect.set(s, s, x)
+        expect.rows[s][s] = x.payload
     assert th == expect
     assert theta(CTX3, LQ, 0) == Matrix.identity(LQ, 7)
     inv_letter = letter_matrix(CTX3, LQ, GenLabel("THETA", param=4, exp=-1))
     assert th @ inv_letter == Matrix.identity(LQ, 7)
-    assert theta(CTX3, ring_from_string("poly:Q"), 2)[0, 0] != 0
+    PQ = ring_from_string("poly:Q")
+    assert not PQ.is_zero(theta(CTX3, PQ, 2).rows[0][0])
     with pytest.raises(UnsupportedRing):
         theta(CTX3, QQ)
     with pytest.raises(UnsupportedRing):
@@ -401,7 +402,7 @@ def test_word_validation():
     with pytest.raises(RingMismatch):
         Word(CTX3, QQ, (GenLabel("F1", 1, None, z),)) * Word(CTX4, QQ, ())
     with pytest.raises(RingMismatch):
-        Word(CTX3, QQ, (GenLabel("F1", 1, None, z),)) * Word(CTX3, F5, (GenLabel("F1", 1, None, F5(1)),))
+        Word(CTX3, QQ, (GenLabel("F1", 1, None, z),)) * Word(CTX3, F5, (GenLabel("F1", 1, None, scalar(F5, 1)),))
 
 
 @pytest.mark.parametrize("derive", [

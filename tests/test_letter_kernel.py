@@ -366,9 +366,9 @@ def _gram_multiplier(m, ctx):
     g = gram(ctx, m.ring)
     transported = m.transpose() @ g @ m
     if ctx.odd:
-        mult = transported[0, 0] * Scalar(m.ring, m.ring.half)
+        mult = Scalar(m.ring, m.ring.mul(transported.rows[0][0], m.ring.half))
     else:
-        mult = transported[ctx.u(1), ctx.v(1)]
+        mult = Scalar(m.ring, transported.rows[ctx.u(1)][ctx.v(1)])
     return mult if transported == g.scale(mult) else None
 
 

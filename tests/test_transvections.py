@@ -35,7 +35,7 @@ from orthgen.transvections import (
 )
 
 from dense_oracle import add, det, orthogonal_inverse, outer, sub, transvection_formula
-from sampling import RINGS, random_matrix
+from sampling import RINGS, random_matrix, scalar
 
 QQ = RationalField()
 F5 = PrimeField(5)
@@ -45,10 +45,6 @@ CTX3 = FormContext(3)
 CTX4 = FormContext(4)
 ECTX3 = FormContext(3, odd=False)
 LAWS = ("i", "ii", "iii", "iv", "v")
-
-
-def _s(ring, v):
-    return Scalar(ring, ring.from_int(v))
 
 
 def _vec(ring, comps):
@@ -81,7 +77,7 @@ def _alternating(ring, rng, n):
 def test_transvection_zero_parameter_is_identity():
     v = _basis(QQ, 7, CTX3.u(1))
     w = _vec(QQ, [1, 0, 2, 0, 0, 5, -1])
-    m = _E(CTX3, v, w, _s(QQ, 0))
+    m = _E(CTX3, v, w, scalar(QQ, 0))
     assert m == Matrix.identity(QQ, 7)
 
 
@@ -89,14 +85,14 @@ def test_transvection_reduces_when_w_is_isotropic():
     # q(w) = 0 kills the quadratic term, leaving I + x*(v*wt - w*vt).
     v = _basis(QQ, 7, CTX3.u(1))
     w = _basis(QQ, 7, CTX3.u(2))
-    x = _s(QQ, 7)
+    x = scalar(QQ, 7)
     tv, tw = CTX3.tilde(v), CTX3.tilde(w)
     expected = add(Matrix.identity(QQ, 7), sub(outer(v, tw), outer(w, tv)).scale(x))
     assert _E(CTX3, v, w, x) == expected
 
 
 def test_first_family_letters_are_transvections():
-    z = _s(QQ, 5)
+    z = scalar(QQ, 5)
     e0 = _basis(QQ, 7, 0, sign=-1)
     for i in (1, 2, 3):
         left = gen_F(CTX3, "F1", i, None, z)
@@ -106,7 +102,7 @@ def test_first_family_letters_are_transvections():
 
 
 def test_even_letters_are_transvections():
-    z = _s(F7, 3)
+    z = scalar(F7, 3)
     for i, j in ((1, 3), (2, 6), (4, 2)):
         v = _basis(F7, 6, i - 1)
         w = _basis(F7, 6, ECTX3.delta(j - 1))
@@ -118,7 +114,7 @@ def test_transvection_is_orthogonal_with_unit_determinant():
     for ring in (QQ, F7, Z9):
         for _ in range(8):
             b = ring.sample(rng)
-            v = Vector.zero(ring, 7)
+            v = Vector(ring, [ring.zero] * 7)
             v.comps[CTX3.u(1)] = ring.one
             v.comps[CTX3.u(2)] = b
             w = Vector(ring, [ring.sample(rng) for _ in range(7)])
@@ -139,12 +135,12 @@ def test_transvection_is_orthogonal_with_unit_determinant():
 )
 def test_transvection_additive_in_parameter(data, x1, x2):
     b, w_raw = data[0], data[1:]
-    v = Vector.zero(F7, 7)
+    v = Vector(F7, [F7.zero] * 7)
     v.comps[CTX3.u(1)] = F7.one
     v.comps[CTX3.u(2)] = F7.from_int(b)
     w = _vec(F7, w_raw)
     w.comps[CTX3.v(1)] = F7.neg(F7.mul(F7.from_int(b), w.comps[CTX3.v(2)]))
-    a1, a2 = _s(F7, x1), _s(F7, x2)
+    a1, a2 = scalar(F7, x1), scalar(F7, x2)
     lhs = _E(CTX3, v, w, a1) @ _E(CTX3, v, w, a2)
     assert lhs == _E(CTX3, v, w, a1 + a2)
 
@@ -207,10 +203,10 @@ def _hypothesis_cases(ctx):
     eu = _basis(QQ, ctx.dim, ctx.u(1))
     ev = _basis(QQ, ctx.dim, ctx.v(1))
     eu_plus_v = _basis(QQ, ctx.dim, ctx.u(2)) + _basis(QQ, ctx.dim, ctx.v(2))
-    one = _s(QQ, 1)
+    one = scalar(QQ, 1)
     return [
         (RingMismatch, "transvection data must share one ring",
-         (eu, _basis(F7, ctx.dim, ctx.u(2)), _s(F7, 1))),
+         (eu, _basis(F7, ctx.dim, ctx.u(2)), scalar(F7, 1))),
         (IndexOutOfRange, f"vectors must have length {ctx.dim}",
          (_basis(QQ, ctx.dim + 2, 1), _basis(QQ, ctx.dim + 2, 2), one)),
         (IndexOutOfRange, f"vectors must have length {ctx.dim}",
@@ -228,7 +224,7 @@ def test_transvection_hypothesis_checks():
 
 
 def test_kernel_rejects_a_matrix_of_the_wrong_shape_or_ring():
-    spec = TransvectionSpec(CTX3, _basis(QQ, 7, CTX3.u(1)), _basis(QQ, 7, CTX3.u(2)), _s(QQ, 1))
+    spec = TransvectionSpec(CTX3, _basis(QQ, 7, CTX3.u(1)), _basis(QQ, 7, CTX3.u(2)), scalar(QQ, 1))
     for left in (True, False):
         for m, cls in ((Matrix.identity(QQ, 5), IndexOutOfRange),
                        (Matrix.identity(F7, 5), IndexOutOfRange),
@@ -242,7 +238,7 @@ def test_kernel_rejects_a_matrix_of_the_wrong_shape_or_ring():
 def test_the_kernel_checks_no_hypothesis(monkeypatch):
     frame = _random_frame(CTX3, QQ, random.Random(8))
     v, w = _kernel_data(CTX3, QQ, frame, random.Random(9))[1]
-    spec = TransvectionSpec(CTX3, v, w, _s(QQ, 3))
+    spec = TransvectionSpec(CTX3, v, w, scalar(QQ, 3))
     calls = {"phi": 0, "quad": 0}
     for name in calls:
         plain = getattr(FormContext, name)
@@ -274,7 +270,7 @@ def _law_data(ring, rng, ctx):
         return Vector(ring, comps, copy=False)
 
     u, v = from_plane(), from_plane()
-    w = Vector.zero(ring, ctx.dim)
+    w = Vector(ring, [ring.zero] * ctx.dim)
     w.comps[0] = ring.sample(rng)
     w.comps[ctx.u(3)] = ring.sample(rng)
     a = Scalar(ring, ring.sample(rng))
@@ -305,10 +301,10 @@ def test_law_hypotheses_raise():
             _law_holds(key, CTX3, _basis(QQ, 7, CTX3.u(1)), _basis(QQ, 7, CTX3.v(1)), w, a, b, None)
 
     shear = Matrix.identity(QQ, 7)
-    shear.set(0, 1, 1)
+    shear.rows[0][1] = QQ.one
     with pytest.raises(HypothesisViolated, match="alpha is not a similitude"):
         _law_holds("v", CTX3, u, v, w, a, b, shear)
-    three = Matrix.identity(Z9, 7).scale(_s(Z9, 3))
+    three = Matrix.identity(Z9, 7).scale(scalar(Z9, 3))
     u9, v9, w9, a9, b9 = _law_data(Z9, random.Random(2), CTX3)
     with pytest.raises(NotAUnit):
         _law_holds("v", CTX3, u9, v9, w9, a9, b9, three)
@@ -321,11 +317,11 @@ def test_solve_alternating_concrete():
     v = _vec(QQ, [1, 2, 3])
     w = _vec(QQ, [3, 0, -1])
     witness = OrderIdealWitness(
-        _s(QQ, 3), [_s(QQ, 1), _s(QQ, 0), _s(QQ, 0)], [w[0], w[1], w[2]]
+        scalar(QQ, 3), [scalar(QQ, 1), scalar(QQ, 0), scalar(QQ, 0)], [w[0], w[1], w[2]]
     )
     alpha = solve_alternating(v, w, witness)
     assert is_alternating(alpha)
-    assert alpha.apply(w) == v.scale(_s(QQ, 3))
+    assert alpha.apply(w) == v.scale(scalar(QQ, 3))
 
 
 def test_solve_alternating_random():
@@ -349,11 +345,11 @@ def test_solve_alternating_random():
 def test_solve_alternating_errors():
     v = _vec(QQ, [1, 0, 0])
     with pytest.raises(NotOrthogonalPair):
-        solve_alternating(v, v, OrderIdealWitness(_s(QQ, 0), [], []))
+        solve_alternating(v, v, OrderIdealWitness(scalar(QQ, 0), [], []))
     w = _vec(QQ, [0, 1, 0])
     with pytest.raises(BadWitness):
-        OrderIdealWitness(_s(QQ, 5), [_s(QQ, 1)], [_s(QQ, 1)])
-    witness = OrderIdealWitness(_s(QQ, 2), [_s(QQ, 2)], [_s(QQ, 1)])
+        OrderIdealWitness(scalar(QQ, 5), [scalar(QQ, 1)], [scalar(QQ, 1)])
+    witness = OrderIdealWitness(scalar(QQ, 2), [scalar(QQ, 2)], [scalar(QQ, 1)])
     with pytest.raises(BadWitness):
         solve_alternating(v, w, witness)
 
@@ -362,8 +358,8 @@ def test_solve_alternating_errors():
 
 
 def _split3_spec(ring, vp, vdp, wp, x, v0=0, w0=0, wdp=None):
-    v = Vector.from_scalars(ring, [v0] + vp + vdp)
-    w = Vector.from_scalars(ring, [w0] + wp + (wdp or [0] * len(wp)))
+    v = _vec(ring, [v0] + vp + vdp)
+    w = _vec(ring, [w0] + wp + (wdp or [0] * len(wp)))
     return TransvectionSpec(FormContext(len(vp)), v, w, Scalar(ring, ring.from_int(x)))
 
 
@@ -437,7 +433,7 @@ def test_split3_hypothesis_checks():
     spec = _split3_spec(QQ, [1, 0, 0], [-1, 0, 0], [0, 0, 1], 1, v0=1)
     with pytest.raises(HypothesisViolated, match=r"v0\^2 must vanish"):
         transvection_split3(spec)
-    even = TransvectionSpec(ECTX3, _basis(QQ, 6, 0), _basis(QQ, 6, 1), _s(QQ, 1))
+    even = TransvectionSpec(ECTX3, _basis(QQ, 6, 0), _basis(QQ, 6, 1), scalar(QQ, 1))
     with pytest.raises(IndexOutOfRange):
         transvection_split3(even)
 
@@ -449,7 +445,7 @@ def test_split_w_pair_degenerate_alpha():
     v = _vec(QQ, [0, 0, 0, 0, 2, 5, 1])
     w = _vec(QQ, [0, 0, 0, 0, 4, -1, 6])
     alpha = Matrix.zeros(QQ, 4)
-    w1, w2 = split_w_pair(v, w, _s(QQ, 1), alpha)
+    w1, w2 = split_w_pair(v, w, scalar(QQ, 1), alpha)
     assert w1 == _vec(QQ, [0, 0, 0, 0, 4, -1, 6])
     assert w2 == _vec(QQ, [0, 0, 0, 0, 0, 0, 0])
 
@@ -506,30 +502,30 @@ def test_split_w_pair_rejects_bad_inputs():
     v = _vec(QQ, [0, 0, 0, 0, 2, 5, 1])
     w = _vec(QQ, [0, 0, 0, 0, 4, -1, 6])
     with pytest.raises(HypothesisViolated):
-        split_w_pair(v, w, _s(QQ, 1), Matrix.identity(QQ, 4))
+        split_w_pair(v, w, scalar(QQ, 1), Matrix.identity(QQ, 4))
 
     w_safe = _vec(QQ, [0, 0, 0, 0, 0, -1, 6])
     v_live = _vec(QQ, [0, 1, 0, 0, 0, 0, 0])
     with pytest.raises(HypothesisViolated):
         # alpha * (0, v'') = 0 cannot reach (0, v') * y.
-        split_w_pair(v_live, w_safe, _s(QQ, 1), Matrix.zeros(QQ, 4))
+        split_w_pair(v_live, w_safe, scalar(QQ, 1), Matrix.zeros(QQ, 4))
 
     w_center = _vec(QQ, [1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(HypothesisViolated):
         # first-row compatibility: w0*y = 1 but alpha_0 = 0.
-        split_w_pair(v, w_center, _s(QQ, 1), Matrix.zeros(QQ, 4))
+        split_w_pair(v, w_center, scalar(QQ, 1), Matrix.zeros(QQ, 4))
 
     v_bad0 = _vec(QQ, [1, 1, 0, 0, -1, 0, 0])
     with pytest.raises(HypothesisViolated):
-        split_w_pair(v_bad0, w_safe, _s(QQ, 0), Matrix.zeros(QQ, 4))
+        split_w_pair(v_bad0, w_safe, scalar(QQ, 0), Matrix.zeros(QQ, 4))
 
     with pytest.raises(IndexOutOfRange):
-        split_w_pair(v, w, _s(QQ, 1), Matrix.zeros(QQ, 5))
+        split_w_pair(v, w, scalar(QQ, 1), Matrix.zeros(QQ, 5))
     for short in (_vec(QQ, [0, 0, 0, 0, 0]), _vec(QQ, [0, 0, 0, 0, 0, 0])):
         with pytest.raises(IndexOutOfRange):
-            split_w_pair(v, short, _s(QQ, 1), Matrix.zeros(QQ, 4))
+            split_w_pair(v, short, scalar(QQ, 1), Matrix.zeros(QQ, 4))
     with pytest.raises(IndexOutOfRange):
-        split_w_pair(_vec(QQ, [0] * 6), _vec(QQ, [0] * 6), _s(QQ, 1), Matrix.zeros(QQ, 4))
+        split_w_pair(_vec(QQ, [0] * 6), _vec(QQ, [0] * 6), scalar(QQ, 1), Matrix.zeros(QQ, 4))
 
 
 def test_split_w_pair_checks_the_transvection_hypotheses():
@@ -538,10 +534,10 @@ def test_split_w_pair_checks_the_transvection_hypotheses():
     w = _vec(QQ, [0, 1, 0, 0, 0, 0, 0])
     zero = Matrix.zeros(QQ, 4)
     with pytest.raises(HypothesisViolated, match=r"^q\(v\) must vanish$"):
-        split_w_pair(v, w, _s(QQ, 1), zero)
+        split_w_pair(v, w, scalar(QQ, 1), zero)
     v = _vec(QQ, [0, 1, 0, 0, 0, 0, 0])
     with pytest.raises(HypothesisViolated, match=r"^phi\(v, w\) must vanish$"):
-        split_w_pair(v, _vec(QQ, [0, 0, 0, 0, 1, 0, 0]), _s(QQ, 1), zero)
+        split_w_pair(v, _vec(QQ, [0, 0, 0, 0, 1, 0, 0]), scalar(QQ, 1), zero)
 
 
 # --- spec objects and JSON --------------------------------------------------
@@ -550,21 +546,21 @@ def test_split_w_pair_checks_the_transvection_hypotheses():
 def test_spec_constructor_checks():
     v = _basis(F7, 7, CTX3.u(1))
     w = _basis(F7, 7, CTX3.u(2))
-    spec = TransvectionSpec(CTX3, v, w, _s(F7, 2))
+    spec = TransvectionSpec(CTX3, v, w, scalar(F7, 2))
     assert spec.ctx is CTX3 and (spec.v, spec.w) == (v, w)
     assert spec.v is not v and spec.w is not w
     with pytest.raises(HypothesisViolated):
-        TransvectionSpec(CTX3, _basis(F7, 7, 0), w, _s(F7, 2))
+        TransvectionSpec(CTX3, _basis(F7, 7, 0), w, scalar(F7, 2))
     with pytest.raises(HypothesisViolated):
-        TransvectionSpec(CTX3, v, _basis(F7, 7, CTX3.v(1)), _s(F7, 2))
+        TransvectionSpec(CTX3, v, _basis(F7, 7, CTX3.v(1)), scalar(F7, 2))
     with pytest.raises(RingMismatch):
-        TransvectionSpec(CTX3, v, w, _s(QQ, 2))
+        TransvectionSpec(CTX3, v, w, scalar(QQ, 2))
     with pytest.raises(IndexOutOfRange):
-        TransvectionSpec(CTX3, v, _basis(F7, 5, 1), _s(F7, 2))
+        TransvectionSpec(CTX3, v, _basis(F7, 5, 1), scalar(F7, 2))
     with pytest.raises(IndexOutOfRange):
-        TransvectionSpec(CTX4, v, w, _s(F7, 2))
+        TransvectionSpec(CTX4, v, w, scalar(F7, 2))
     with pytest.raises(IndexOutOfRange):
-        TransvectionSpec(ECTX3, v, w, _s(F7, 2))
+        TransvectionSpec(ECTX3, v, w, scalar(F7, 2))
 
 
 def test_spec_keeps_its_own_vectors():
@@ -572,8 +568,8 @@ def test_spec_keeps_its_own_vectors():
     # the spec: here v would get q(v) = 1 and E would leave the group.
     v = _basis(QQ, 7, CTX3.u(1))
     w = _basis(QQ, 7, CTX3.u(2))
-    spec = TransvectionSpec(CTX3, v, w, _s(QQ, 3))
-    expected = transvection_formula(CTX3, v, w, _s(QQ, 3))
+    spec = TransvectionSpec(CTX3, v, w, scalar(QQ, 3))
+    expected = transvection_formula(CTX3, v, w, scalar(QQ, 3))
     v.comps[CTX3.v(1)] = QQ.one
     w.comps[0] = QQ.one
     assert spec.v == _basis(QQ, 7, CTX3.u(1)) and spec.w == _basis(QQ, 7, CTX3.u(2))
@@ -582,7 +578,7 @@ def test_spec_keeps_its_own_vectors():
 
 
 def test_spec_json_round_trip():
-    spec = TransvectionSpec(CTX3, _basis(Z9, 7, CTX3.u(1)), Vector.zero(Z9, 7), _s(Z9, 5))
+    spec = TransvectionSpec(CTX3, _basis(Z9, 7, CTX3.u(1)), Vector(Z9, [Z9.zero] * 7), scalar(Z9, 5))
     blob = spec.to_json()
     zero, one = {"mod": 9, "val": 0}, {"mod": 9, "val": 1}
     assert blob == {
