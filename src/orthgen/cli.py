@@ -29,7 +29,7 @@ from .decompose import (
     tmt_decompose,
 )
 from .errors import IndexOutOfRange, JSONFormatError, NotMonomial, OrthgenError
-from .generators import eval_word, gen_F, gen_oe, word_to_json
+from .generators import eval_word, gen_F, gen_oe
 from .identity_suite import run_suite
 from .quadratic_space import (
     FormContext,
@@ -52,7 +52,8 @@ __all__ = ["main", "main_entry"]
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(canonical_json(obj) + "\n")
+    """Write one line of canonical JSON: a dict by the encoder, anything else by its own to_text."""
+    sys.stdout.write((canonical_json(obj) if isinstance(obj, dict) else obj.to_text()) + "\n")
 
 
 def _complain(message: str, code: int) -> int:
@@ -73,7 +74,7 @@ def _read_payload(path):
 
 
 def _odd_context(m: Matrix) -> FormContext:
-    if m.dim % 2 == 0:
+    if m.dim < 3 or m.dim % 2 == 0:
         raise IndexOutOfRange(f"no odd split space has dimension {m.dim}")
     return FormContext((m.dim - 1) // 2)
 
@@ -90,15 +91,14 @@ def _cmd_gen(args) -> int:
         m = gen_oe(FormContext(args.n, odd=False), args.i, args.j, z)
     else:
         m = gen_F(FormContext(args.n), args.fam, args.i, args.j, z)
-    _emit(m.to_json())
+    _emit(m)
     return 0
 
 
 def _cmd_verify(args) -> int:
     m = Matrix.from_json(_read_payload(args.file))
-    ctx = FormContext(m.dim // 2, odd=m.dim % 2 == 1)
     if args.what == "orthogonal":
-        ok = is_orthogonal(m, ctx)
+        ok = is_orthogonal(m, FormContext(m.dim // 2, odd=m.dim % 2 == 1))
         detail = "preserves the form" if ok else "does not preserve the form"
     elif args.what == "monomial":
         try:
@@ -120,7 +120,7 @@ def _cmd_decompose(args) -> int:
         if args.mode in ("tmt", "local"):
             split = tmt_decompose if args.mode == "tmt" else local_decompose
             dec = split(m, _odd_context(m))
-            expect, redone, render = m, dec.recompose(), dec.to_json
+            expect, redone, result = m, dec.recompose(), dec
         else:
             if args.mode == "unipotent":
                 ctx = FormContext(m.dim)
@@ -133,12 +133,12 @@ def _cmd_decompose(args) -> int:
             else:
                 word = factor_to(m, _odd_context(m))
                 expect = m
-            redone, render = eval_word(word), functools.partial(word_to_json, word)
+            redone, result = eval_word(word), word
         if args.check and redone != expect:
             raise OrthgenError("recomposition mismatch")
     except OrthgenError as exc:
         return _complain(str(exc), 1)
-    _emit(render())  # past the try, so an unprintable result exits 2 through main
+    _emit(result)  # past the try, so an unprintable result exits 2 through main
     return 0
 
 

@@ -30,6 +30,8 @@ X-divisible transvections (L5.1), are identity-suite items.
 
 from __future__ import annotations
 
+import json
+
 from .errors import (
     BadIndex,
     DecompositionError,
@@ -53,7 +55,6 @@ from .generators import (
     apply_word,
     eval_word,
     word_from_json,
-    word_to_json,
 )
 from .quadratic_space import (
     FormContext,
@@ -135,14 +136,10 @@ class TmtDecomposition:
         apply_word(out, self.tau2)
         return out
 
-    def to_json(self) -> dict:
-        out = {
-            "tau1": word_to_json(self.tau1),
-            "mu": self.mu.to_json(),
-            "tau2": word_to_json(self.tau2),
-        }
-        out.update((key, getattr(self, key).to_json()) for key in self._EXTRA)
-        return out
+    def to_text(self) -> str:
+        """Canonical JSON text: each part's own text, under its key, keys sorted."""
+        parts = {key: getattr(self, key).to_text() for key in ("tau1", "mu", "tau2") + self._EXTRA}
+        return "{" + ",".join(f'"{key}":{parts[key]}' for key in sorted(parts)) + "}"
 
     @classmethod
     def from_json(cls, obj) -> "TmtDecomposition":
@@ -574,16 +571,16 @@ class HorrocksInstance:
         self.witness = witness
         self.claim = claim
 
-    def to_json(self) -> dict:
-        claim = None
+    def to_text(self) -> str:
+        """Canonical JSON text, keys sorted; claim is null when absent."""
+        claim = "null"
         if self.claim is not None:
-            claim = {"alpha0": self.claim[0].to_json(), "word": word_to_json(self.claim[1])}
-        return {
-            "alpha": self.alpha.to_json(),
-            "beta": self.beta.to_json(),
-            "witness": word_to_json(self.witness),
-            "claim": claim,
-        }
+            claim = f'{{"alpha0":{self.claim[0].to_text()},"word":{self.claim[1].to_text()}}}'
+        return (f'{{"alpha":{self.alpha.to_text()},"beta":{self.beta.to_text()},'
+                f'"claim":{claim},"witness":{self.witness.to_text()}}}')
+
+    def to_json(self) -> dict:
+        return json.loads(self.to_text())
 
     @classmethod
     def from_json(cls, obj) -> "HorrocksInstance":

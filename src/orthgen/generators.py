@@ -23,6 +23,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import json
+
 from .errors import (
     BadIndex,
     BadSign,
@@ -382,6 +384,13 @@ class Word:
             raise RingMismatch("cannot concatenate words over different contexts")
         return _checked_word(self.ctx, self.ring, self.letters + other.letters)
 
+    def to_text(self) -> str:
+        """Canonical JSON text, keys sorted; "even" appears only in the even context."""
+        R = self.ring
+        letters = ",".join(_letter_text(R, l) for l in self.letters)
+        even = "" if self.ctx.odd else '"even":true,'
+        return f'{{{even}"letters":[{letters}],"n":{self.ctx.n},"ring":"{R.descriptor}"}}'
+
 
 def _checked_word(ctx: FormContext, ring: Ring, letters) -> Word:
     """A Word of letters already checked for (ctx, ring), built without checking them again."""
@@ -437,23 +446,19 @@ def word_shuffle(word: Word) -> Word:
     return _checked_word(word.ctx, word.ring, out)
 
 
-def _label_to_json(letter: GenLabel):
+def _letter_text(R: Ring, letter: GenLabel) -> str:
+    """A letter's canonical JSON text over the word's ring R, keys in sorted order."""
     fam = letter.family
-    obj = {"fam": fam, "exp": letter.exp}
-    if fam in F_FAMILIES or fam == "OE":
-        obj["i"] = letter.i
-        if letter.j is not None:
-            obj["j"] = letter.j
-        obj["z"] = letter.param.to_json()
-    elif fam == "PERM":
-        obj["perm"] = list(letter.param)
-    elif fam == "DIAG":
+    head = f'"exp":{letter.exp},"fam":"{fam}"'
+    if fam == "PERM":
+        return f'{{{head},"perm":[{",".join(map(str, letter.param))}]}}'
+    if fam == "DIAG":
         d0, d = letter.param
-        obj["d0"] = d0.to_json()
-        obj["d"] = [x.to_json() for x in d]
-    else:
-        obj["m"] = letter.param
-    return obj
+        return f'{{"d":[{",".join(R.to_text(x.payload) for x in d)}],"d0":{R.to_text(d0.payload)},{head}}}'
+    if fam == "THETA":
+        return f'{{{head},"m":{"null" if letter.param is None else letter.param}}}'
+    j = "" if letter.j is None else f',"j":{letter.j}'
+    return f'{{{head},"i":{letter.i}{j},"z":{R.to_text(letter.param.payload)}}}'
 
 
 def _require_keys(obj: dict, fam: str, *keys: str) -> None:
@@ -502,14 +507,7 @@ def _label_from_json(ring: Ring, obj) -> GenLabel:
 
 
 def word_to_json(word: Word):
-    obj = {
-        "n": word.ctx.n,
-        "ring": word.ring.descriptor,
-        "letters": [_label_to_json(l) for l in word.letters],
-    }
-    if not word.ctx.odd:
-        obj["even"] = True
-    return obj
+    return json.loads(word.to_text())
 
 
 def word_from_json(obj) -> Word:

@@ -21,6 +21,8 @@ or difference.
 
 from __future__ import annotations
 
+import json
+
 from .errors import (
     IndexOutOfRange,
     JSONFormatError,
@@ -228,13 +230,14 @@ class Matrix:
             if not R.is_zero(s):
                 row[target] = R.mul(coeff, s)
 
+    def to_text(self) -> str:
+        """Canonical JSON text, keys sorted, at one ring to_text call per entry."""
+        text = self.ring.to_text
+        rows = ",".join("[" + ",".join(map(text, row)) + "]" for row in self.rows)
+        return f'{{"dim":{self.dim},"entries":[{rows}],"ring":"{self.ring.descriptor}"}}'
+
     def to_json(self):
-        R = self.ring
-        return {
-            "ring": R.descriptor,
-            "dim": self.dim,
-            "entries": [[R.to_json(a) for a in row] for row in self.rows],
-        }
+        return json.loads(self.to_text())
 
     @classmethod
     def from_json(cls, obj) -> "Matrix":
@@ -254,7 +257,7 @@ class Matrix:
         for r in entries:
             if not isinstance(r, list) or len(r) != dim:
                 raise JSONFormatError("entries must have dim columns per row")
-            rows.append([ring.from_json(x) for x in r])
+            rows.append(ring.row_from_json(r))
         return cls(ring, rows, copy=False)
 
 

@@ -13,6 +13,9 @@ integer equality is ring equality.  Every ring also adds a scaled line
 to a line in place (axpy on a row, col_axpy on a column of a row-major
 matrix); the modular rings run it as plain integer arithmetic.  A local
 scalar ring names its residue field, with payload maps to it and back.
+A ring writes a payload's canonical JSON text with to_text, the one
+spelling of the scalar format (to_json reads that text back), and reads
+a matrix row with row_from_json, which the modular rings check inline.
 """
 
 from __future__ import annotations
@@ -143,8 +146,16 @@ class Ring:
             if not is_zero(s):
                 row[target] = add(row[target], mul(c, s))
 
+    def to_json(self, a):
+        """a as a JSON value, read back from to_text, the one spelling of the format."""
+        return json.loads(self.to_text(a))
+
+    def row_from_json(self, row) -> list:
+        """The payloads of one row of JSON scalars, each read by from_json."""
+        return [self.from_json(x) for x in row]
+
     # subclasses implement: zero, one, half, from_int, add, neg, mul,
-    # is_zero, is_unit, inv, show, to_json, from_json, sample
+    # is_zero, is_unit, inv, show, to_text, from_json, sample
 
 
 def _oversized() -> JSONFormatError:
@@ -193,11 +204,9 @@ class RationalField(Ring):
         except ValueError:  # past the int-to-str digit limit
             return f"<rational of {a.numerator.bit_length()}/{a.denominator.bit_length()} bits>"
 
-    def to_json(self, a):
+    def to_text(self, a) -> str:
         try:
-            if a.denominator == 1:
-                return str(a.numerator)
-            return f"{a.numerator}/{a.denominator}"
+            return f'"{a.numerator}"' if a.denominator == 1 else f'"{a.numerator}/{a.denominator}"'
         except ValueError:
             raise _oversized() from None
 
@@ -272,8 +281,8 @@ class _ModularBase(Ring):
     def show(self, a) -> str:
         return str(a)
 
-    def to_json(self, a):
-        return {"mod": self.modulus, "val": a}
+    def to_text(self, a) -> str:
+        return f'{{"mod":{self.modulus},"val":{a}}}'
 
     def from_json(self, obj):
         if not isinstance(obj, dict) or set(obj) != {"mod", "val"}:
@@ -285,6 +294,19 @@ class _ModularBase(Ring):
         if not 0 <= v < m:
             raise JSONFormatError(f"value {v} out of range mod {m}")
         return v
+
+    def row_from_json(self, row) -> list:
+        """Reads each exact {"mod": m, "val": v} inline; from_json reads, and refuses, any other."""
+        m = self.modulus
+        out = []
+        for x in row:
+            if type(x) is dict and len(x) == 2:
+                mod, v = x.get("mod"), x.get("val")
+                if type(mod) is int and mod == m and type(v) is int and 0 <= v < m:
+                    out.append(v)
+                    continue
+            out.append(self.from_json(x))
+        return out
 
     def sample(self, rng):
         return rng.randrange(self.modulus)
@@ -352,6 +374,11 @@ def _poly_str(coeffs, var: str, base: Ring, offset: int = 0) -> str:
         xs = var if e == 1 else f"{var}^{e}"
         terms.append(xs if cs == "1" else f"{cs}*{xs}")
     return " + ".join(terms) if terms else "0"
+
+
+def _coeffs_text(base: Ring, coeffs, tail: str = "") -> str:
+    """The text {"coeffs":[...]<tail>} of a coefficient sequence over base."""
+    return '{"coeffs":[' + ",".join(map(base.to_text, coeffs)) + "]" + tail + "}"
 
 
 def _convolve(B: Ring, a, b, size: int) -> list:
@@ -427,9 +454,8 @@ class TruncatedRing(Ring):
     def show(self, a) -> str:
         return _poly_str(a, "t", self.base)
 
-    def to_json(self, a):
-        B = self.base
-        return {"coeffs": [B.to_json(c) for c in a]}
+    def to_text(self, a) -> str:
+        return _coeffs_text(self.base, a)
 
     def from_json(self, obj):
         if not isinstance(obj, dict) or set(obj) != {"coeffs"}:
@@ -509,9 +535,8 @@ class PolynomialRing(Ring):
     def show(self, a) -> str:
         return _poly_str(a, "X", self.base)
 
-    def to_json(self, a):
-        B = self.base
-        return {"coeffs": [B.to_json(c) for c in a]}
+    def to_text(self, a) -> str:
+        return _coeffs_text(self.base, a)
 
     def from_json(self, obj):
         if not isinstance(obj, dict) or set(obj) != {"coeffs"}:
@@ -614,10 +639,9 @@ class LaurentRing(Ring):
         o, ca = a
         return _poly_str(ca, "X", self.base, offset=o)
 
-    def to_json(self, a):
+    def to_text(self, a) -> str:
         o, ca = a
-        B = self.base
-        return {"coeffs": [B.to_json(c) for c in ca], "offset": o}
+        return _coeffs_text(self.base, ca, f',"offset":{o}')
 
     def from_json(self, obj):
         if not isinstance(obj, dict) or set(obj) != {"offset", "coeffs"}:
@@ -707,9 +731,6 @@ class Scalar:
 
     def inv(self) -> "Scalar":
         return Scalar(self.ring, self.ring.inv(self.payload))
-
-    def to_json(self):
-        return self.ring.to_json(self.payload)
 
 
 class IdealDescriptor:

@@ -90,7 +90,7 @@ class TransvectionSpec:
             "odd": self.ctx.odd,
             "v": [R.to_json(c) for c in self.v.comps],
             "w": [R.to_json(c) for c in self.w.comps],
-            "x": self.x.to_json(),
+            "x": R.to_json(self.x.payload),
         }
 
 

@@ -25,7 +25,10 @@ residual, and reads congruence off the residual's reduction.  The split
 form is written once, in FormContext.gram_row: tilde, phi and quad loop
 over no indices, and the column test behind is_orthogonal and
 similitude_multiplier and the transvection kernel read the same row,
-with no partner table and no unknown-multiplier mode.
+with no partner table and no unknown-multiplier mode.  The wire format
+is written once: rings, matrices, words and records render text with
+to_text, each of their to_json methods reads that text back, and only
+the CLI's _emit hands a dict to the stdlib encoder.
 
 Every function earns a caller.  A fresh interpreter is traced while it
 imports the package and runs the CLI goldens (CASES, REJECT_CASES and
@@ -238,6 +241,31 @@ def test_the_split_form_is_written_once():
     assert _call_sites(trees["transvections.py"], "tilde") == []
 
 
+def test_the_wire_format_is_written_once():
+    # A ring, matrix, word or record writes its JSON as text with to_text;
+    # each to_json among them reads that text back.  Only the suite's
+    # report and failure records build dicts, and only _emit encodes one.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    built = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = ".".join(scope + (child.name,))
+                if child.name in ("to_json", "word_to_json"):
+                    ret = child.body[-1]
+                    if getattr(getattr(ret.value, "func", None), "attr", None) != "loads":
+                        built.append(name)
+                visit(child, scope + (child.name,))
+
+    for module, tree in trees.items():
+        visit(tree, (module[:-3],))
+    assert sorted(built) == ["identity_suite.SuiteReport.to_json", "transvections.TransvectionSpec.to_json"]
+    sites = [(name, site) for name, tree in trees.items() for site in _call_sites(tree, "canonical_json")]
+    assert sites == [("cli.py", "_emit")]
+
+
 # Run in a fresh interpreter: (filename, first line) of every code object
 # the package calls, from its own import on.  The cases come on stdin.
 _TRACE = """
@@ -274,12 +302,14 @@ _ALLOWED = {
     "quadratic_space.Matrix.__matmul__": "the benchmark builds its pools with dense products",
     "generators.perm_matrix": "the benchmark builds its monomial pool with it",
     "generators.Word.__len__": "the benchmark counts witness letters with len",
-    "rings.LaurentRing.to_json": "the benchmark's certificate pool serializes Laurent letters",
+    "rings.LaurentRing.to_text": "the benchmark's certificate pool writes Laurent letters",
     "decompose.TmtDecomposition.from_json": "the benchmark reloads tmt answers to check them",
     "decompose.HorrocksInstance.to_json": "the benchmark serializes its certificate requests",
+    "decompose.HorrocksInstance.to_text": "HorrocksInstance.to_json reads it back; the CLI prints a verdict",
     "cli.main_entry": "the console script",
     "rings._oversized": "error path: a rational past the digit limit",
     "identity_suite._vec_json": "error path: records the vectors of a failing law",
+    "generators.word_to_json": "error path: records the word of a failing R5.2 sample",
     "transvections.TransvectionSpec.to_json": "error path: records a failing transvection",
     "generators._list_from_json": "validates a PERM or DIAG letter on load",
 }

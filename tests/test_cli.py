@@ -293,7 +293,7 @@ def test_decompose_serializes_outside_its_exit_one_branch(monkeypatch, capsys):
     def unprintable(word):
         raise JSONFormatError("too many digits")
 
-    monkeypatch.setattr(cli, "word_to_json", unprintable)
+    monkeypatch.setattr(Word, "to_text", unprintable)
     block = canonical_json(matrix(QQ, [[1, 2], [0, 1]]).to_json())
     assert run_cli(["factor", "--mode", "unipotent", "--check"], block) == (2, "")
     assert capsys.readouterr().err == "error: too many digits\n"
@@ -351,6 +351,24 @@ def test_decompose_domain_failures_exit_one(capsys):
     assert run_cli(["factor", "--mode", "unipotent"], not_uni)[0] == 1
     not_alt = canonical_json(matrix(QQ, [[1, 0], [0, 1]]).to_json())
     assert run_cli(["factor", "--mode", "alt"], not_alt)[0] == 1
+
+
+_ONE_BY_ONE = canonical_json(Matrix.identity(F5, 1).to_json())
+
+
+@pytest.mark.parametrize("what, detail", [("monomial", [1]),
+                                          ("congruent", "congruent to the identity mod max")])
+def test_verify_answers_on_a_one_by_one_matrix(what, detail):
+    # Only --what orthogonal needs a form; the others once failed on its rank 0.
+    code, out = run_cli(["verify", "--what", what], _ONE_BY_ONE)
+    assert (code, json.loads(out)) == (0, {"detail": detail, "ok": True})
+
+
+@pytest.mark.parametrize("argv", [["decompose", "--mode", "tmt"], ["decompose", "--mode", "local"],
+                                  ["factor", "--mode", "to"]])
+def test_a_one_by_one_split_names_its_dimension(argv, capsys):
+    assert run_cli(argv, _ONE_BY_ONE) == (1, "")
+    assert capsys.readouterr().err == "error: no odd split space has dimension 1\n"
 
 
 def test_decompose_parse_failures_exit_two(tmp_path):
